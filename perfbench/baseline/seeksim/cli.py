@@ -1,0 +1,212 @@
+"""Command-line driver.
+
+Subcommands:
+  run     score one instance (a bundled case, inline requests, or a file)
+          under the selected algorithms and print CSV/JSON
+  gen     emit a seeded random request file
+  verify  run the randomized oracle campaign
+
+Exit codes: 0 success, 1 campaign failure, 2 invalid input.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+
+from .model import (
+    DiskGeometry,
+    HeadState,
+    SchedulingError,
+    TransferModel,
+    validate_instance,
+)
+from .report import (
+    ORACLE_NAME,
+    emit,
+    head_path_series,
+    run_comparison,
+    run_property_campaign,
+)
+from .workload import (
+    WorkloadSpec,
+    generate,
+    parse_requests,
+    reference_case,
+    render_requests,
+)
+
+_ALGO_TOKENS = {
+    "all": None,
+    "fifo": ["FIFO"],
+    "sstf": ["SSTF"],
+    "scan": ["SCAN"],
+    "cscan": ["C-SCAN"],
+    "look": ["LOOK"],
+    "odsa": ["ODSA"],
+    "optimal": [ORACLE_NAME],
+}
+
+
+def _geometry_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--min-track", type=int, default=None, help="lowest track (default 0)")
+    parser.add_argument("--max-track", type=int, default=None, help="highest track (default 180)")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="seeksim", description="Disk-arm scheduling simulator and comparison tool."
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    run = sub.add_parser("run", help="score an instance under the selected algorithms")
+    run.add_argument("--case", type=int, choices=(1, 2, 3), help="bundled benchmark case")
+    run.add_argument("--head", type=int, help="initial head position")
+    run.add_argument("--requests", help="inline request list, e.g. '25,10,151'")
+    run.add_argument("--input", help="request file (see README for the format)")
+    run.add_argument(
+        "--algo", choices=sorted(_ALGO_TOKENS), default="all", help="algorithm to run"
+    )
+    _geometry_args(run)
+    run.add_argument("--bytes", type=int, default=None, help="bytes to transfer (default 30000)")
+    run.add_argument("--track-bytes", type=int, default=None, help="bytes per track (default 32256)")
+    run.add_argument("--rps", type=float, default=None, help="rotation speed, rev/s (default 120)")
+    run.add_argument("--format", choices=("csv", "json"), default="csv")
+    run.add_argument(
+        "--path", action="store_true", help="emit head-path series instead of the metric table"
+    )
+    run.add_argument(
+        "--paper-table",
+        action="store_true",
+        help="append the originally published table values and divergence notes (cases only)",
+    )
+
+    gen = sub.add_parser("gen", help="generate a seeded uniform request file")
+    gen.add_argument("--count", type=int, required=True, help="number of requests")
+    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--head", type=int, default=None, help="include a head directive")
+    _geometry_args(gen)
+    gen.add_argument("-o", "--output", default=None, help="write to a file instead of stdout")
+
+    verify = sub.add_parser("verify", help="randomized campaign against the exhaustive oracle")
+    verify.add_argument("--trials", type=int, default=1000)
+    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--max-n", type=int, default=8, help="largest queue per trial (<= 8)")
+
+    return parser
+
+
+def _build_geometry(args: argparse.Namespace) -> DiskGeometry:
+    min_track = args.min_track if args.min_track is not None else 0
+    max_track = args.max_track if args.max_track is not None else 180
+    return DiskGeometry(min_track, max_track)
+
+
+def _resolve_instance(args: argparse.Namespace):
+    if args.case is not None:
+        for flag, name in (
+            (args.head, "--head"),
+            (args.requests, "--requests"),
+            (args.input, "--input"),
+            (args.min_track, "--min-track"),
+            (args.max_track, "--max-track"),
+        ):
+            if flag is not None:
+                raise SchedulingError(f"--case fixes the instance; drop {name}")
+        queue, head, geometry = reference_case(args.case)
+        return validate_instance(queue, head, geometry), args.case
+
+    if args.requests is not None and args.input is not None:
+        raise SchedulingError("give --requests or --input, not both")
+    if args.requests is not None:
+        queue, file_head = parse_requests(args.requests)
+    elif args.input is not None:
+        with open(args.input, encoding="utf-8") as f:
+            queue, file_head = parse_requests(f.read())
+    else:
+        raise SchedulingError("need --case, --requests or --input")
+
+    if args.head is not None and file_head is not None:
+        raise SchedulingError("head given both via --head and in the input")
+    head = args.head if args.head is not None else (
+        file_head.position if file_head is not None else None
+    )
+    if head is None:
+        raise SchedulingError("no head position: pass --head or a 'head <int>' line")
+    return validate_instance(queue, head, _build_geometry(args)), None
+
+
+def _build_model(args: argparse.Namespace) -> TransferModel:
+    return TransferModel(
+        args.bytes if args.bytes is not None else 30000,
+        args.track_bytes if args.track_bytes is not None else 32256,
+        args.rps if args.rps is not None else 120.0,
+    )
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    instance, case_id = _resolve_instance(args)
+    algorithms = _ALGO_TOKENS[args.algo]
+    if args.path:
+        if args.paper_table:
+            raise SchedulingError("--paper-table applies to metric tables, not --path")
+        series = head_path_series(instance, algorithms)
+        sys.stdout.write(emit(series, args.format))
+        return 0
+    if args.paper_table and case_id is None:
+        raise SchedulingError("--paper-table needs --case (published values exist for cases 1-3)")
+    report = run_comparison(instance, _build_model(args), algorithms, case_id)
+    sys.stdout.write(emit(report, args.format, include_published=args.paper_table))
+    return 0
+
+
+def _cmd_gen(args: argparse.Namespace) -> int:
+    geometry = _build_geometry(args)
+    spec = WorkloadSpec(count=args.count, geometry=geometry, seed=args.seed)
+    queue = generate(spec)
+    head = None
+    if args.head is not None:
+        head = HeadState(args.head)
+        validate_instance((), head, geometry)
+    text = (
+        f"# uniform workload: count={spec.count} seed={spec.seed} "
+        f"tracks=[{geometry.min_track},{geometry.max_track}]\n"
+    ) + render_requests(queue, head)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    summary = run_property_campaign(args.trials, seed=args.seed, max_n=args.max_n)
+    print(f"trials={summary.trials} seed={summary.seed} max_n={summary.max_n}")
+    print(f"passes={summary.passes} failures={summary.failures}")
+    if summary.failures:
+        for check, count in sorted(summary.check_failures.items()):
+            print(f"failed check {check}: {count}")
+        print(f"first counterexample: {summary.first_counterexample}")
+        return 1
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "gen":
+            return _cmd_gen(args)
+        return _cmd_verify(args)
+    except SchedulingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

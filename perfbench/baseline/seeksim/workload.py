@@ -1,0 +1,138 @@
+"""Benchmark-case fixtures, seeded workload generation, and the request file
+format.
+
+Request files are line-oriented UTF-8 text: non-negative integer tracks
+separated by commas and/or whitespace, ``#`` comments and blank lines
+ignored, with one optional leading directive line ``head <int>`` giving the
+initial head position. Example::
+
+    # morning batch
+    head 45
+    25, 10, 151
+    170 62
+"""
+
+from __future__ import annotations
+
+import random
+import re
+from dataclasses import dataclass, field
+
+from .model import (
+    DiskGeometry,
+    HeadState,
+    RequestQueue,
+    SchedulingError,
+)
+
+
+class UnknownCaseError(SchedulingError):
+    """Benchmark case id outside 1-3."""
+
+
+class ParseError(SchedulingError):
+    """Malformed request file; carries 1-based line and column."""
+
+    def __init__(self, message: str, line: int, column: int):
+        self.line = line
+        self.column = column
+        super().__init__(f"line {line}, column {column}: {message}")
+
+
+class NegativeTrackError(ParseError):
+    """Track numbers must be non-negative."""
+
+
+# The three published benchmark instances: (requests in arrival order, head).
+BENCHMARK_CASES: dict[int, tuple[tuple[int, ...], int]] = {
+    1: ((25, 10, 151, 170, 62, 46, 74, 111), 45),
+    2: ((16, 75, 24, 21, 30, 80, 116, 63), 66),
+    3: ((25, 33, 54, 64, 40, 90, 110, 160), 125),
+}
+
+
+def reference_case(case_id: int) -> tuple[RequestQueue, HeadState, DiskGeometry]:
+    """Return one of the three bundled benchmark instances."""
+    try:
+        tracks, head = BENCHMARK_CASES[case_id]
+    except KeyError:
+        raise UnknownCaseError(f"unknown case {case_id!r}; choose 1, 2 or 3") from None
+    return RequestQueue(tracks), HeadState(head), DiskGeometry()
+
+
+@dataclass(frozen=True)
+class WorkloadSpec:
+    """Parameters for a reproducible random workload. Tracks are drawn
+    uniformly over the geometry, inclusive of both bounds."""
+
+    count: int
+    geometry: DiskGeometry = field(default_factory=DiskGeometry)
+    seed: int = 0
+    distribution: str = "uniform"
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise SchedulingError(f"count must be >= 1, got {self.count}")
+        if not 0 <= self.seed < 2**64:
+            raise SchedulingError("seed must fit in 64 unsigned bits")
+        if self.distribution != "uniform":
+            raise SchedulingError(f"unsupported distribution {self.distribution!r}")
+
+
+def generate(spec: WorkloadSpec) -> RequestQueue:
+    """Draw the workload. Deterministic per seed: uses the stdlib Mersenne
+    Twister (random.Random), whose integer draws are stable across builds for
+    a given CPython random-module implementation."""
+    rng = random.Random(spec.seed)
+    g = spec.geometry
+    return RequestQueue(rng.randint(g.min_track, g.max_track) for _ in range(spec.count))
+
+
+_HEAD_DIRECTIVE = re.compile(r"^head\b")
+
+
+def parse_requests(text: str) -> tuple[RequestQueue, HeadState | None]:
+    """Parse request file text into a queue and the optional head position.
+
+    Raises ParseError (with line/column) on non-integer tokens, a misplaced
+    or repeated head directive, or negative tracks (NegativeTrackError).
+    """
+    tracks: list[int] = []
+    head: HeadState | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        if _HEAD_DIRECTIVE.match(line.strip()):
+            if head is not None:
+                raise ParseError("duplicate head directive", lineno, 1)
+            if tracks:
+                raise ParseError("head directive must precede all requests", lineno, 1)
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError("expected 'head <int>'", lineno, 1)
+            head = HeadState(_parse_track(parts[1], lineno, line.index(parts[1]) + 1))
+            continue
+        for match in re.finditer(r"[^,\s]+", line):
+            tracks.append(_parse_track(match.group(), lineno, match.start() + 1))
+    return RequestQueue(tracks), head
+
+
+def _parse_track(token: str, line: int, column: int) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        raise ParseError(f"expected an integer track, got {token!r}", line, column) from None
+    if value < 0:
+        raise NegativeTrackError(f"track must be non-negative, got {value}", line, column)
+    return value
+
+
+def render_requests(queue: RequestQueue, head: HeadState | None = None) -> str:
+    """Canonical request file text: optional head directive, then one track
+    per line. parse_requests inverts it exactly."""
+    lines = []
+    if head is not None:
+        lines.append(f"head {head.position}")
+    lines.extend(str(t) for t in queue)
+    return "\n".join(lines) + "\n" if lines else ""
