@@ -16,7 +16,7 @@ def main() -> None:
         queue, head, geometry = reference_case(case_id)
         instance = validate_instance(queue, head, geometry)
         report = run_comparison(instance, model, case_id=case_id)
-        print(f"case {case_id}: head {head.position}, requests {list(queue)}")
+        print(f"case {case_id}: head {head}, requests {list(queue)}")
         print(f"  {'algorithm':<10} {'avg seek':>10} {'transfer':>10} {'published':>10} {'':>9}")
         for row in report.rows:
             pub_avg, _ = PUBLISHED_TABLES[case_id][row.algorithm]

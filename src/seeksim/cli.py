@@ -15,13 +15,18 @@ import argparse
 import sys
 
 from .model import (
+    DEFAULT_BYTES_PER_TRACK,
+    DEFAULT_BYTES_TO_TRANSFER,
+    DEFAULT_MAX_TRACK,
+    DEFAULT_MIN_TRACK,
+    DEFAULT_ROTATION_SPEED,
     DiskGeometry,
-    HeadState,
     SchedulingError,
     TransferModel,
     validate_instance,
 )
 from .report import (
+    CAMPAIGN_MAX_N,
     ORACLE_NAME,
     emit,
     head_path_series,
@@ -49,8 +54,13 @@ _ALGO_TOKENS = {
 
 
 def _geometry_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--min-track", type=int, default=None, help="lowest track (default 0)")
-    parser.add_argument("--max-track", type=int, default=None, help="highest track (default 180)")
+    # None marks an unset flag, which --case conflict detection relies on.
+    parser.add_argument(
+        "--min-track", type=int, default=None, help=f"lowest track (default {DEFAULT_MIN_TRACK})"
+    )
+    parser.add_argument(
+        "--max-track", type=int, default=None, help=f"highest track (default {DEFAULT_MAX_TRACK})"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,9 +78,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--algo", choices=sorted(_ALGO_TOKENS), default="all", help="algorithm to run"
     )
     _geometry_args(run)
-    run.add_argument("--bytes", type=int, default=None, help="bytes to transfer (default 30000)")
-    run.add_argument("--track-bytes", type=int, default=None, help="bytes per track (default 32256)")
-    run.add_argument("--rps", type=float, default=None, help="rotation speed, rev/s (default 120)")
+    run.add_argument(
+        "--bytes", type=int, default=DEFAULT_BYTES_TO_TRANSFER,
+        help="bytes to transfer (default %(default)s)",
+    )
+    run.add_argument(
+        "--track-bytes", type=int, default=DEFAULT_BYTES_PER_TRACK,
+        help="bytes per track (default %(default)s)",
+    )
+    run.add_argument(
+        "--rps", type=float, default=DEFAULT_ROTATION_SPEED,
+        help="rotation speed, rev/s (default %(default)s)",
+    )
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.add_argument(
         "--path", action="store_true", help="emit head-path series instead of the metric table"
@@ -91,15 +110,19 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="randomized campaign against the exhaustive oracle")
     verify.add_argument("--trials", type=int, default=1000)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--max-n", type=int, default=8, help="largest queue per trial (<= 8)")
+    verify.add_argument(
+        "--max-n", type=int, default=CAMPAIGN_MAX_N,
+        help="largest queue per trial (default and maximum %(default)s)",
+    )
 
     return parser
 
 
 def _build_geometry(args: argparse.Namespace) -> DiskGeometry:
-    min_track = args.min_track if args.min_track is not None else 0
-    max_track = args.max_track if args.max_track is not None else 180
-    return DiskGeometry(min_track, max_track)
+    return DiskGeometry(
+        DEFAULT_MIN_TRACK if args.min_track is None else args.min_track,
+        DEFAULT_MAX_TRACK if args.max_track is None else args.max_track,
+    )
 
 
 def _resolve_instance(args: argparse.Namespace):
@@ -122,26 +145,24 @@ def _resolve_instance(args: argparse.Namespace):
         queue, file_head = parse_requests(args.requests)
     elif args.input is not None:
         with open(args.input, encoding="utf-8") as f:
-            queue, file_head = parse_requests(f.read())
+            try:
+                text = f.read()
+            except UnicodeDecodeError as exc:
+                raise SchedulingError(f"{args.input}: not UTF-8 text ({exc.reason})") from None
+        queue, file_head = parse_requests(text)
     else:
         raise SchedulingError("need --case, --requests or --input")
 
     if args.head is not None and file_head is not None:
         raise SchedulingError("head given both via --head and in the input")
-    head = args.head if args.head is not None else (
-        file_head.position if file_head is not None else None
-    )
+    head = args.head if args.head is not None else file_head
     if head is None:
         raise SchedulingError("no head position: pass --head or a 'head <int>' line")
     return validate_instance(queue, head, _build_geometry(args)), None
 
 
 def _build_model(args: argparse.Namespace) -> TransferModel:
-    return TransferModel(
-        args.bytes if args.bytes is not None else 30000,
-        args.track_bytes if args.track_bytes is not None else 32256,
-        args.rps if args.rps is not None else 120.0,
-    )
+    return TransferModel(args.bytes, args.track_bytes, args.rps)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -164,14 +185,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     geometry = _build_geometry(args)
     spec = WorkloadSpec(count=args.count, geometry=geometry, seed=args.seed)
     queue = generate(spec)
-    head = None
     if args.head is not None:
-        head = HeadState(args.head)
-        validate_instance((), head, geometry)
+        validate_instance((), args.head, geometry)
     text = (
         f"# uniform workload: count={spec.count} seed={spec.seed} "
         f"tracks=[{geometry.min_track},{geometry.max_track}]\n"
-    ) + render_requests(queue, head)
+    ) + render_requests(queue, args.head)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
             f.write(text)
@@ -200,10 +219,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gen":
             return _cmd_gen(args)
         return _cmd_verify(args)
-    except SchedulingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SchedulingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

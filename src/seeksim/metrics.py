@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import ROUND_DOWN, Decimal
 
-from .model import Schedule, SchedulingError, SeekSummary, TransferModel
+from .model import Schedule, SchedulingError, TransferModel
 
 
 class EmptyScheduleError(SchedulingError):
@@ -37,11 +37,6 @@ def transfer_time(avg_seek: float, model: TransferModel) -> float:
     if avg_seek < 0:
         raise SchedulingError(f"average seek must be non-negative, got {avg_seek}")
     return avg_seek + rotational_overhead(model)
-
-
-def summarize(schedule: Schedule, model: TransferModel) -> SeekSummary:
-    avg = average_seek(schedule)
-    return SeekSummary(schedule.total_seek, avg, transfer_time(avg, model))
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,16 @@
-"""Core value types shared by every module: geometry, requests, head, transfer
-constants and schedules.
+"""Core value types shared by every module: geometry, transfer constants,
+instances and schedules.
 
-All types are frozen dataclasses holding tuples, so instances are immutable and
-safe to share across threads or processes.
+Queues are tuples of int tracks in arrival order and heads are plain int
+tracks. All types are frozen dataclasses holding ints and tuples, so instances
+are immutable and safe to share across threads or processes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Sequence
 
 Track = int
 
@@ -53,7 +55,7 @@ class OutOfRangeError(SchedulingError):
 
 
 class InvalidModelError(SchedulingError):
-    """Transfer-model constant is not strictly positive."""
+    """Transfer-model constant is not finite and strictly positive."""
 
 
 @dataclass(frozen=True)
@@ -78,33 +80,6 @@ class DiskGeometry:
 
 
 @dataclass(frozen=True)
-class RequestQueue:
-    """Track requests in arrival order. Duplicates are allowed and order is
-    significant (FIFO consumes it)."""
-
-    requests: tuple[Track, ...]
-
-    def __init__(self, requests: Iterable[Track] = ()):
-        object.__setattr__(self, "requests", tuple(requests))
-
-    def __len__(self) -> int:
-        return len(self.requests)
-
-    def __iter__(self):
-        return iter(self.requests)
-
-    def __getitem__(self, i):
-        return self.requests[i]
-
-
-@dataclass(frozen=True)
-class HeadState:
-    """Position of the disk head when scheduling starts."""
-
-    position: Track
-
-
-@dataclass(frozen=True)
 class TransferModel:
     """Constants of the transfer-time formula
     ``transfer = average_seek + 1/(2R) + B/(R*N)``.
@@ -118,34 +93,27 @@ class TransferModel:
 
     def __post_init__(self):
         for name in ("bytes_to_transfer", "bytes_per_track", "rotation_speed"):
-            if getattr(self, name) <= 0:
-                raise InvalidModelError(f"{name} must be positive, got {getattr(self, name)}")
-
-
-@dataclass(frozen=True)
-class Visit:
-    """One head stop: a track plus whether a request was serviced there.
-
-    Unserviced visits are the preliminary moves (sweep end points, wrap
-    landings) that cost seek distance without completing a request.
-    """
-
-    track: Track
-    serviced: bool = True
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise InvalidModelError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
 class Schedule:
     """Result of running one algorithm on one instance.
 
-    ``visits`` is the full head itinerary after ``start``; everything else is
-    derived from it. ``step_seeks`` has one entry per path segment, so
+    ``stops`` is the full head itinerary after ``start`` and ``idle`` holds
+    the indices of the stops that service nothing: the preliminary moves
+    (sweep end points, wrap landings) that cost seek distance without
+    completing a request. Everything else is derived from them.
+    ``step_seeks`` has one entry per path segment, so
     ``sum(step_seeks) == total_seek`` and unserviced stops count too.
     """
 
     algorithm: str
     start: Track
-    visits: tuple[Visit, ...]
+    stops: tuple[Track, ...]
+    idle: tuple[int, ...] = ()
     service_order: tuple[Track, ...] = field(init=False)
     preliminary_moves: tuple[Track, ...] = field(init=False)
     step_seeks: tuple[int, ...] = field(init=False)
@@ -154,54 +122,31 @@ class Schedule:
     def __post_init__(self):
         path = self.head_path()
         seeks = tuple(abs(b - a) for a, b in zip(path, path[1:]))
-        object.__setattr__(
-            self, "service_order", tuple(v.track for v in self.visits if v.serviced)
-        )
-        object.__setattr__(
-            self, "preliminary_moves", tuple(v.track for v in self.visits if not v.serviced)
-        )
+        service = self.stops
+        for i in reversed(self.idle):
+            service = service[:i] + service[i + 1 :]
+        object.__setattr__(self, "service_order", service)
+        object.__setattr__(self, "preliminary_moves", tuple(self.stops[i] for i in self.idle))
         object.__setattr__(self, "step_seeks", seeks)
         object.__setattr__(self, "total_seek", sum(seeks))
 
     def head_path(self) -> tuple[Track, ...]:
         """All head positions in order, starting at the initial position."""
-        return (self.start,) + tuple(v.track for v in self.visits)
-
-
-@dataclass(frozen=True)
-class SeekSummary:
-    """Seek statistics for one schedule: total tracks moved, tracks per
-    request, and the transfer-time figure."""
-
-    total_seek: int
-    average_seek: float
-    transfer_time: float
+        return (self.start,) + self.stops
 
 
 @dataclass(frozen=True)
 class Instance:
     """A validated (queue, head, geometry) triple."""
 
-    queue: RequestQueue
-    head: HeadState
+    queue: tuple[Track, ...]
+    head: Track
     geometry: DiskGeometry
 
 
-QueueLike = Union[RequestQueue, Sequence[Track]]
-HeadLike = Union[HeadState, Track]
-
-
-def as_queue(queue: QueueLike) -> RequestQueue:
-    return queue if isinstance(queue, RequestQueue) else RequestQueue(queue)
-
-
-def as_head(head: HeadLike) -> HeadState:
-    return head if isinstance(head, HeadState) else HeadState(head)
-
-
 def validate_instance(
-    queue: QueueLike,
-    head: HeadLike,
+    queue: Sequence[Track],
+    head: Track,
     geometry: DiskGeometry | None = None,
 ) -> Instance:
     """Check every request and the head against the geometry.
@@ -210,12 +155,11 @@ def validate_instance(
     track. Validating an already validated instance's parts yields an equal
     Instance, so validation is idempotent. An empty queue is legal.
     """
-    q = as_queue(queue)
-    h = as_head(head)
+    q = tuple(queue)
     g = geometry if geometry is not None else DiskGeometry()
     offending = [t for t in q if not g.contains(t)]
-    if not g.contains(h.position):
-        offending.append(h.position)
+    if not g.contains(head):
+        offending.append(head)
     if offending:
         raise OutOfRangeError(offending, g)
-    return Instance(q, h, g)
+    return Instance(q, head, g)

@@ -237,7 +237,7 @@ def _comparison_json(report: ComparisonReport, include_published: bool) -> str:
         rows.append(entry)
     doc = {
         "instance": {
-            "head": inst.head.position,
+            "head": inst.head,
             "queue": list(inst.queue),
             "geometry": {"min_track": inst.geometry.min_track, "max_track": inst.geometry.max_track},
             "model": {

@@ -17,22 +17,12 @@ where they keep total_seek invariant under reflection of the whole instance
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Literal
+from typing import Literal, Sequence
 
-from .model import (
-    DiskGeometry,
-    HeadLike,
-    QueueLike,
-    Schedule,
-    SchedulingError,
-    Track,
-    Visit,
-    as_head,
-    as_queue,
-)
+from .model import DiskGeometry, Schedule, SchedulingError, Track
 
 BRUTE_FORCE_MAX_REQUESTS = 9
 
@@ -53,18 +43,13 @@ class OdsaPlan:
     start_end: Literal["low", "high"]
 
 
-def _inputs(queue: QueueLike, head: HeadLike) -> tuple[list[Track], Track]:
-    return list(as_queue(queue)), as_head(head).position
+def _served(algorithm: str, start: Track, order: Sequence[Track]) -> Schedule:
+    return Schedule(algorithm, start, tuple(order))
 
 
-def _served(algorithm: str, start: Track, order: list[Track]) -> Schedule:
-    return Schedule(algorithm, start, tuple(Visit(t) for t in order))
-
-
-def schedule_fifo(queue: QueueLike, head: HeadLike) -> Schedule:
+def schedule_fifo(queue: Sequence[Track], head: Track) -> Schedule:
     """Service requests in arrival order."""
-    tracks, h = _inputs(queue, head)
-    return _served("FIFO", h, tracks)
+    return _served("FIFO", head, queue)
 
 
 def _sstf_run(pos: Track, pending: list[Track]) -> tuple[int, list[Track]]:
@@ -105,115 +90,97 @@ def _sstf_run(pos: Track, pending: list[Track]) -> tuple[int, list[Track]]:
     return total, order
 
 
-def schedule_sstf(queue: QueueLike, head: HeadLike) -> Schedule:
+def schedule_sstf(queue: Sequence[Track], head: Track) -> Schedule:
     """Repeatedly service the pending request nearest the current head."""
-    tracks, h = _inputs(queue, head)
-    _, order = _sstf_run(h, sorted(tracks))
-    return _served("SSTF", h, order)
-
-
-def _split(tracks: list[Track], h: Track) -> tuple[list[Track], list[Track], list[Track]]:
-    below = [t for t in tracks if t < h]
-    at = [t for t in tracks if t == h]
-    above = [t for t in tracks if t > h]
-    return below, at, above
+    _, order = _sstf_run(head, sorted(queue))
+    return _served("SSTF", head, order)
 
 
 def _sweep_direction(h: Track, below: list[Track], above: list[Track]) -> int:
-    """+1 for an upward sweep, -1 for downward. See the module docstring."""
+    """+1 for an upward sweep, -1 for downward, given the sorted pending
+    tracks on each side. See the module docstring."""
     if len(above) != len(below):
         return 1 if len(above) > len(below) else -1
-    up_leg = max(above) - h
-    down_leg = h - min(below)
+    up_leg = above[-1] - h
+    down_leg = h - below[0]
     if up_leg != down_leg:
         return 1 if up_leg < down_leg else -1
     return 1
 
 
-def schedule_scan(queue: QueueLike, head: HeadLike, geometry: DiskGeometry | None = None) -> Schedule:
+def _sweep(
+    name: str,
+    queue: Sequence[Track],
+    head: Track,
+    end: Literal["physical", "wrap", "request"],
+    geometry: DiskGeometry | None,
+) -> Schedule:
+    """The elevator sweep behind SCAN, C-SCAN and LOOK.
+
+    Service the requests at the head, then everything on the chosen side;
+    ``end`` says where that first leg stops: at the physical disk end
+    ("physical"), at the physical end followed by a jump to the opposite end
+    ("wrap"), or at the extreme pending request ("request"). The second leg
+    runs back over the other side ("physical", "request") or on in the same
+    direction after the jump ("wrap"). End points without a request there
+    are unserviced stops.
+    """
+    tracks = sorted(queue)
+    lo, hi = bisect_left(tracks, head), bisect_right(tracks, head)
+    below, above = tracks[:lo], tracks[hi:]
+    if not below and not above:
+        return _served(name, head, tracks)
+    g = geometry if geometry is not None else DiskGeometry()
+    if _sweep_direction(head, below, above) > 0:
+        first, back, near, far = tracks[lo:], below[::-1], g.max_track, g.min_track
+    else:
+        first, back, near, far = tracks[:hi][::-1], above, g.min_track, g.max_track
+    second = back[::-1] if end == "wrap" else back
+    moves = []
+    if end != "request" and first[-1] != near:
+        moves.append(near)
+    if end == "wrap" and second and second[0] != far:
+        moves.append(far)
+    idle = tuple(range(len(first), len(first) + len(moves)))
+    return Schedule(name, head, tuple(first + moves + second), idle)
+
+
+def schedule_scan(queue: Sequence[Track], head: Track, geometry: DiskGeometry | None = None) -> Schedule:
     """Elevator sweep: service everything in the chosen direction, run on to
     the physical disk end (an unserviced stop unless a request sits there),
     then reverse and stop at the last remaining request."""
-    tracks, h = _inputs(queue, head)
-    g = geometry if geometry is not None else DiskGeometry()
-    if not tracks:
-        return Schedule("SCAN", h, ())
-    below, at, above = _split(tracks, h)
-    if not below and not above:
-        return _served("SCAN", h, at)
-    direction = _sweep_direction(h, below, above)
-    if direction > 0:
-        first, end, second = sorted(at + above), g.max_track, sorted(below, reverse=True)
-    else:
-        first, end, second = sorted(at + below, reverse=True), g.min_track, sorted(above)
-    visits = [Visit(t) for t in first]
-    if first[-1] != end:
-        visits.append(Visit(end, serviced=False))
-    visits.extend(Visit(t) for t in second)
-    return Schedule("SCAN", h, tuple(visits))
+    return _sweep("SCAN", queue, head, "physical", geometry)
 
 
-def schedule_cscan(queue: QueueLike, head: HeadLike, geometry: DiskGeometry | None = None) -> Schedule:
+def schedule_cscan(queue: Sequence[Track], head: Track, geometry: DiskGeometry | None = None) -> Schedule:
     """Circular sweep: like SCAN up to the physical end, then wrap to the
     opposite end at a cost of the full disk width and continue in the same
     direction, stopping at the last remaining request. The wrap landing is an
     unserviced stop unless a request sits on that end track."""
-    tracks, h = _inputs(queue, head)
-    g = geometry if geometry is not None else DiskGeometry()
-    if not tracks:
-        return Schedule("C-SCAN", h, ())
-    below, at, above = _split(tracks, h)
-    if not below and not above:
-        return _served("C-SCAN", h, at)
-    direction = _sweep_direction(h, below, above)
-    if direction > 0:
-        first, end, wrap_end = sorted(at + above), g.max_track, g.min_track
-        second = sorted(below)
-    else:
-        first, end, wrap_end = sorted(at + below, reverse=True), g.min_track, g.max_track
-        second = sorted(above, reverse=True)
-    visits = [Visit(t) for t in first]
-    if first[-1] != end:
-        visits.append(Visit(end, serviced=False))
-    if second:
-        if second[0] != wrap_end:
-            visits.append(Visit(wrap_end, serviced=False))
-        visits.extend(Visit(t) for t in second)
-    return Schedule("C-SCAN", h, tuple(visits))
+    return _sweep("C-SCAN", queue, head, "wrap", geometry)
 
 
-def schedule_look(queue: QueueLike, head: HeadLike) -> Schedule:
+def schedule_look(queue: Sequence[Track], head: Track) -> Schedule:
     """Like SCAN, but reverse at the extreme pending request instead of the
     physical end, so every stop services a request."""
-    tracks, h = _inputs(queue, head)
-    if not tracks:
-        return Schedule("LOOK", h, ())
-    below, at, above = _split(tracks, h)
-    if not below and not above:
-        return _served("LOOK", h, at)
-    if _sweep_direction(h, below, above) > 0:
-        order = sorted(at + above) + sorted(below, reverse=True)
-    else:
-        order = sorted(at + below, reverse=True) + sorted(above)
-    return _served("LOOK", h, order)
+    return _sweep("LOOK", queue, head, "request", None)
 
 
-def plan_odsa(queue: QueueLike, head: HeadLike) -> OdsaPlan:
+def plan_odsa(queue: Sequence[Track], head: Track) -> OdsaPlan:
     """Pick the sweep for the single-sweep scheduler: jump to whichever
     extreme requested track is nearer the head (ties start from the low end)
     and cross to the far extreme."""
-    tracks, h = _inputs(queue, head)
-    if not tracks:
+    if not queue:
         raise SchedulingError("cannot plan a sweep for an empty queue")
-    lowest, highest = min(tracks), max(tracks)
-    to_low = abs(h - lowest)
-    to_high = abs(h - highest)
+    lowest, highest = min(queue), max(queue)
+    to_low = abs(head - lowest)
+    to_high = abs(head - highest)
     if to_low <= to_high:
         return OdsaPlan(lowest, highest, to_low, "low")
     return OdsaPlan(lowest, highest, to_high, "high")
 
 
-def schedule_odsa(queue: QueueLike, head: HeadLike) -> Schedule:
+def schedule_odsa(queue: Sequence[Track], head: Track) -> Schedule:
     """Single monotone sweep: sort the queue, jump straight to the nearer
     extreme (servicing only the request it lands on), then sweep across to
     the far extreme servicing everything in passing.
@@ -221,31 +188,29 @@ def schedule_odsa(queue: QueueLike, head: HeadLike) -> Schedule:
     total_seek = min(|head-lowest|, |head-highest|) + (highest - lowest),
     which is the minimum possible for a static queue.
     """
-    tracks, h = _inputs(queue, head)
-    if not tracks:
-        return Schedule("ODSA", h, ())
-    plan = plan_odsa(tracks, h)
-    order = sorted(tracks, reverse=plan.start_end == "high")
-    return _served("ODSA", h, order)
+    if not queue:
+        return Schedule("ODSA", head, ())
+    plan = plan_odsa(queue, head)
+    order = sorted(queue, reverse=plan.start_end == "high")
+    return _served("ODSA", head, order)
 
 
-def brute_force_optimal(queue: QueueLike, head: HeadLike) -> Schedule:
+def brute_force_optimal(queue: Sequence[Track], head: Track) -> Schedule:
     """Exhaustive oracle: try every service order and keep the cheapest.
 
     Ties resolve to the lexicographically smallest service sequence. Bounded
     at 9 requests; raises QueueTooLargeError beyond that so callers can skip
     the comparison.
     """
-    tracks, h = _inputs(queue, head)
-    if len(tracks) > BRUTE_FORCE_MAX_REQUESTS:
+    if len(queue) > BRUTE_FORCE_MAX_REQUESTS:
         raise QueueTooLargeError(
-            f"{len(tracks)} requests exceed the oracle bound of {BRUTE_FORCE_MAX_REQUESTS}"
+            f"{len(queue)} requests exceed the oracle bound of {BRUTE_FORCE_MAX_REQUESTS}"
         )
     best_total: int | None = None
     best_order: tuple[Track, ...] = ()
-    for perm in permutations(sorted(tracks)):
+    for perm in permutations(sorted(queue)):
         total = 0
-        prev = h
+        prev = head
         for t in perm:
             total += abs(t - prev)
             prev = t
@@ -255,4 +220,4 @@ def brute_force_optimal(queue: QueueLike, head: HeadLike) -> Schedule:
             if best_total is None or total < best_total:
                 best_total = total
                 best_order = perm
-    return _served("OPTIMAL", h, list(best_order))
+    return _served("OPTIMAL", head, best_order)

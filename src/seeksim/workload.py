@@ -17,13 +17,9 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from typing import Sequence
 
-from .model import (
-    DiskGeometry,
-    HeadState,
-    RequestQueue,
-    SchedulingError,
-)
+from .model import DiskGeometry, SchedulingError
 
 
 class UnknownCaseError(SchedulingError):
@@ -51,13 +47,13 @@ BENCHMARK_CASES: dict[int, tuple[tuple[int, ...], int]] = {
 }
 
 
-def reference_case(case_id: int) -> tuple[RequestQueue, HeadState, DiskGeometry]:
+def reference_case(case_id: int) -> tuple[tuple[int, ...], int, DiskGeometry]:
     """Return one of the three bundled benchmark instances."""
     try:
         tracks, head = BENCHMARK_CASES[case_id]
     except KeyError:
         raise UnknownCaseError(f"unknown case {case_id!r}; choose 1, 2 or 3") from None
-    return RequestQueue(tracks), HeadState(head), DiskGeometry()
+    return tracks, head, DiskGeometry()
 
 
 @dataclass(frozen=True)
@@ -68,37 +64,34 @@ class WorkloadSpec:
     count: int
     geometry: DiskGeometry = field(default_factory=DiskGeometry)
     seed: int = 0
-    distribution: str = "uniform"
 
     def __post_init__(self):
         if self.count < 1:
             raise SchedulingError(f"count must be >= 1, got {self.count}")
         if not 0 <= self.seed < 2**64:
             raise SchedulingError("seed must fit in 64 unsigned bits")
-        if self.distribution != "uniform":
-            raise SchedulingError(f"unsupported distribution {self.distribution!r}")
 
 
-def generate(spec: WorkloadSpec) -> RequestQueue:
+def generate(spec: WorkloadSpec) -> tuple[int, ...]:
     """Draw the workload. Deterministic per seed: uses the stdlib Mersenne
     Twister (random.Random), whose integer draws are stable across builds for
     a given CPython random-module implementation."""
     rng = random.Random(spec.seed)
     g = spec.geometry
-    return RequestQueue(rng.randint(g.min_track, g.max_track) for _ in range(spec.count))
+    return tuple(rng.randint(g.min_track, g.max_track) for _ in range(spec.count))
 
 
 _HEAD_DIRECTIVE = re.compile(r"^head\b")
 
 
-def parse_requests(text: str) -> tuple[RequestQueue, HeadState | None]:
+def parse_requests(text: str) -> tuple[tuple[int, ...], int | None]:
     """Parse request file text into a queue and the optional head position.
 
     Raises ParseError (with line/column) on non-integer tokens, a misplaced
     or repeated head directive, or negative tracks (NegativeTrackError).
     """
     tracks: list[int] = []
-    head: HeadState | None = None
+    head: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -111,11 +104,11 @@ def parse_requests(text: str) -> tuple[RequestQueue, HeadState | None]:
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError("expected 'head <int>'", lineno, 1)
-            head = HeadState(_parse_track(parts[1], lineno, line.index(parts[1]) + 1))
+            head = _parse_track(parts[1], lineno, line.index(parts[1]) + 1)
             continue
         for match in re.finditer(r"[^,\s]+", line):
             tracks.append(_parse_track(match.group(), lineno, match.start() + 1))
-    return RequestQueue(tracks), head
+    return tuple(tracks), head
 
 
 def _parse_track(token: str, line: int, column: int) -> int:
@@ -128,11 +121,11 @@ def _parse_track(token: str, line: int, column: int) -> int:
     return value
 
 
-def render_requests(queue: RequestQueue, head: HeadState | None = None) -> str:
+def render_requests(queue: Sequence[int], head: int | None = None) -> str:
     """Canonical request file text: optional head directive, then one track
     per line. parse_requests inverts it exactly."""
     lines = []
     if head is not None:
-        lines.append(f"head {head.position}")
+        lines.append(f"head {head}")
     lines.extend(str(t) for t in queue)
     return "\n".join(lines) + "\n" if lines else ""

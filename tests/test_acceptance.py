@@ -108,13 +108,13 @@ def test_criterion_4_look_divergence_documented():
     # independent check: totals of both possible LOOK sweeps per case
     q1, h1, _ = reference_case(1)
     q2, h2, _ = reference_case(2)
-    assert {_look_sweep_total(list(q1), h1.position, up) for up in (True, False)} == {285, 195}
-    assert {_look_sweep_total(list(q2), h2.position, up) for up in (True, False)} == {150}
+    assert {_look_sweep_total(list(q1), h1, up) for up in (True, False)} == {285, 195}
+    assert {_look_sweep_total(list(q2), h2, up) for up in (True, False)} == {150}
     # the published totals (37.5*8=300, 23.875*8=191) match neither direction
     assert 300 not in {285, 195} and 191 not in {150}
 
-    assert schedule_look(list(q1), h1.position).total_seek == 285  # average 35.625
-    assert schedule_look(list(q2), h2.position).total_seek == 150  # average 18.75
+    assert schedule_look(list(q1), h1).total_seek == 285  # average 35.625
+    assert schedule_look(list(q2), h2).total_seek == 150  # average 18.75
 
     for case_id, published in ((1, "37.5"), (2, "23.875")):
         proc = subprocess.run(

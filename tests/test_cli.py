@@ -98,12 +98,22 @@ def test_custom_geometry_changes_cscan_wrap(capsys):
         ("gen", "--count", "3", "--head", "300"),
         ("verify", "--trials", "0"),
         ("verify", "--max-n", "9"),
+        ("run", "--case", "1", "--rps", "nan"),
+        ("run", "--case", "1", "--rps", "inf"),
     ],
 )
 def test_invalid_input_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_run_non_utf8_input_exits_2(capsys, tmp_path):
+    path = tmp_path / "reqs.txt"
+    path.write_bytes(b"head 45\n25 \xff 10\n")
+    code, out, err = run_cli(capsys, "run", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_run_head_conflict_between_flag_and_file(capsys, tmp_path):

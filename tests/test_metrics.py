@@ -9,10 +9,9 @@ from seeksim.metrics import (
     average_seek,
     display,
     rotational_overhead,
-    summarize,
     transfer_time,
 )
-from seeksim.model import Schedule, TransferModel, Visit
+from seeksim.model import Schedule, TransferModel
 
 MODEL = TransferModel()
 
@@ -22,7 +21,7 @@ OVERHEAD = Fraction(961, 80640)
 
 def schedule_with_total(total, n=8):
     # one hop covering the whole distance, then n-1 zero-cost repeats
-    return Schedule("X", 0, tuple(Visit(total) for _ in range(n)))
+    return Schedule("X", 0, (total,) * n)
 
 
 def test_average_seek_case1_odsa():
@@ -67,10 +66,11 @@ def test_transfer_time_rejects_negative_average():
 
 
 def test_summarize_keeps_transfer_above_average():
-    summary = summarize(schedule_with_total(195), MODEL)
-    assert summary.total_seek == 195
-    assert summary.average_seek == 24.375
-    assert summary.transfer_time > summary.average_seek
+    schedule = schedule_with_total(195)
+    avg = average_seek(schedule)
+    assert schedule.total_seek == 195
+    assert avg == 24.375
+    assert transfer_time(avg, MODEL) > avg
 
 
 def test_display_truncates_not_rounds():

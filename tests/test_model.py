@@ -3,13 +3,10 @@ import pytest
 from seeksim.model import (
     DiskGeometry,
     EmptyGeometryError,
-    HeadState,
     InvalidModelError,
     OutOfRangeError,
-    RequestQueue,
     Schedule,
     TransferModel,
-    Visit,
     validate_instance,
 )
 
@@ -39,6 +36,8 @@ def test_transfer_model_defaults():
         {"bytes_to_transfer": 0},
         {"bytes_per_track": -1},
         {"rotation_speed": 0},
+        {"rotation_speed": float("nan")},
+        {"rotation_speed": float("inf")},
     ],
 )
 def test_transfer_model_rejects_nonpositive(kwargs):
@@ -49,7 +48,7 @@ def test_transfer_model_rejects_nonpositive(kwargs):
 def test_validate_case1_instance():
     inst = validate_instance(CASE1_QUEUE, 45)
     assert list(inst.queue) == CASE1_QUEUE
-    assert inst.head == HeadState(45)
+    assert inst.head == 45
     assert inst.geometry == DiskGeometry()
 
 
@@ -76,15 +75,8 @@ def test_validate_is_idempotent():
     assert again == inst
 
 
-def test_queue_preserves_arrival_order_and_duplicates():
-    q = RequestQueue([5, 5, 3])
-    assert list(q) == [5, 5, 3]
-    assert len(q) == 3
-    assert q[0] == 5
-
-
 def test_schedule_derives_fields_from_visits():
-    s = Schedule("SCAN", 45, (Visit(50), Visit(180, serviced=False), Visit(20)))
+    s = Schedule("SCAN", 45, (50, 180, 20), idle=(1,))
     assert s.service_order == (50, 20)
     assert s.preliminary_moves == (180,)
     assert s.head_path() == (45, 50, 180, 20)
@@ -102,6 +94,6 @@ def test_value_types_are_immutable():
     g = DiskGeometry()
     with pytest.raises(AttributeError):
         g.min_track = 5
-    s = Schedule("FIFO", 0, (Visit(3),))
+    s = Schedule("FIFO", 0, (3,))
     with pytest.raises(AttributeError):
         s.total_seek = 99

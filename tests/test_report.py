@@ -187,7 +187,7 @@ def test_single_trial_check_passes_on_case1():
     from seeksim.report import _check_trial
 
     queue, head, geometry = reference_case(1)
-    assert _check_trial(list(queue), head.position, geometry) == []
+    assert _check_trial(list(queue), head, geometry) == []
 
 
 def test_campaign_small_run_passes():

@@ -25,7 +25,7 @@ GEOM = DiskGeometry()
 
 def case(case_id):
     queue, head, _ = reference_case(case_id)
-    return list(queue), head.position
+    return list(queue), head
 
 
 # ---------------------------------------------------------------- FIFO
@@ -134,6 +134,38 @@ def test_scan_runs_to_end_even_with_nothing_behind():
     s = schedule_scan([50], 45, GEOM)
     assert s.preliminary_moves == (180,)
     assert s.total_seek == 135
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda q, h: schedule_scan(q, h, GEOM),
+        lambda q, h: schedule_cscan(q, h, GEOM),
+        schedule_look,
+    ],
+)
+def test_downward_sweep_ending_on_min_track_adds_no_stop(run):
+    # mirror of test_scan_request_at_physical_end_is_serviced_there
+    s = run([130, 0], 135)
+    assert s.service_order == (130, 0)
+    assert s.preliminary_moves == ()
+    assert s.total_seek == 135
+
+
+@pytest.mark.parametrize(
+    "run,moves,steps",
+    [
+        (lambda q, h: schedule_scan(q, h, GEOM), (0,), (0, 0, 30, 10, 10, 100)),
+        (lambda q, h: schedule_cscan(q, h, GEOM), (0, 180), (0, 0, 30, 10, 10, 180, 80)),
+        (schedule_look, (), (0, 0, 30, 10, 90)),
+    ],
+)
+def test_head_on_request_sweeping_down_services_it_first(run, moves, steps):
+    # two below vs one above: the requests at the head go first, then down
+    s = run([50, 20, 100, 10, 50], 50)
+    assert s.service_order == (50, 50, 20, 10, 100)
+    assert s.preliminary_moves == moves
+    assert s.step_seeks == steps
 
 
 # ---------------------------------------------------------------- C-SCAN

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seeksim.model import DiskGeometry, HeadState
+from seeksim.model import DiskGeometry
 from seeksim.workload import (
     NegativeTrackError,
     ParseError,
@@ -18,13 +18,13 @@ from seeksim.workload import (
 def test_case1_fixture():
     queue, head, geometry = reference_case(1)
     assert list(queue) == [25, 10, 151, 170, 62, 46, 74, 111]
-    assert head.position == 45
+    assert head == 45
     assert geometry == DiskGeometry(0, 180)
 
 
 def test_case2_and_case3_heads():
-    assert reference_case(2)[1].position == 66
-    assert reference_case(3)[1].position == 125
+    assert reference_case(2)[1] == 66
+    assert reference_case(3)[1] == 125
     assert list(reference_case(3)[0]) == [25, 33, 54, 64, 40, 90, 110, 160]
 
 
@@ -37,11 +37,6 @@ def test_unknown_case_rejected(bad):
 def test_workload_spec_rejects_zero_count():
     with pytest.raises(ValueError):
         WorkloadSpec(count=0)
-
-
-def test_workload_spec_rejects_unknown_distribution():
-    with pytest.raises(ValueError):
-        WorkloadSpec(count=3, distribution="zipf")
 
 
 def test_workload_spec_rejects_seed_beyond_64_bits():
@@ -72,14 +67,14 @@ def test_parse_comma_separated():
 
 def test_parse_head_directive():
     queue, head = parse_requests("head 45\n25 10")
-    assert head == HeadState(45)
+    assert head == 45
     assert list(queue) == [25, 10]
 
 
 def test_parse_mixed_separators_comments_blanks():
     text = "# batch\nhead 66\n\n16, 75 24\n21\t30 # trailing\n"
     queue, head = parse_requests(text)
-    assert head == HeadState(66)
+    assert head == 66
     assert list(queue) == [16, 75, 24, 21, 30]
 
 
@@ -136,10 +131,7 @@ def test_render_empty_queue():
     st.one_of(st.none(), st.integers(0, 180)),
 )
 def test_parse_render_round_trip(tracks, head_pos):
-    head = None if head_pos is None else HeadState(head_pos)
-    from seeksim.model import RequestQueue
-
-    queue = RequestQueue(tracks)
-    parsed_queue, parsed_head = parse_requests(render_requests(queue, head))
+    queue = tuple(tracks)
+    parsed_queue, parsed_head = parse_requests(render_requests(queue, head_pos))
     assert parsed_queue == queue
-    assert parsed_head == head
+    assert parsed_head == head_pos
