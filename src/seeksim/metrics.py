@@ -9,14 +9,19 @@ rather than converted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from decimal import ROUND_DOWN, Decimal
+from decimal import ROUND_DOWN, Context, Decimal
 
-from .model import Schedule, SchedulingError, TransferModel
+from .model import Schedule, SchedulingError, TransferModel, rotational_overhead
 
 
 class EmptyScheduleError(SchedulingError):
     """Average seek is undefined for zero requests."""
+
+
+class MetricOverflowError(SchedulingError):
+    """A metric is too large to be represented as a float."""
 
 
 def average_seek(schedule: Schedule, count: int | None = None) -> float:
@@ -24,19 +29,19 @@ def average_seek(schedule: Schedule, count: int | None = None) -> float:
     n = len(schedule.service_order) if count is None else count
     if n < 1:
         raise EmptyScheduleError("average seek undefined for an empty schedule")
-    return schedule.total_seek / n
-
-
-def rotational_overhead(model: TransferModel) -> float:
-    """The constant 1/(2R) + B/(R*N) added to every average seek."""
-    r = model.rotation_speed
-    return 1.0 / (2.0 * r) + model.bytes_to_transfer / (r * model.bytes_per_track)
+    try:
+        return schedule.total_seek / n
+    except OverflowError:
+        raise MetricOverflowError("average seek overflows a float") from None
 
 
 def transfer_time(avg_seek: float, model: TransferModel) -> float:
     if avg_seek < 0:
         raise SchedulingError(f"average seek must be non-negative, got {avg_seek}")
-    return avg_seek + rotational_overhead(model)
+    total = avg_seek + rotational_overhead(model)
+    if total == math.inf:
+        raise MetricOverflowError("transfer time overflows a float")
+    return total
 
 
 @dataclass(frozen=True)
@@ -60,8 +65,10 @@ def display(value: float | None, places: int = 5) -> str:
     """
     if value is None:
         return ""
-    quantum = Decimal(1).scaleb(-places)
-    text = str(Decimal(repr(value)).quantize(quantum, rounding=ROUND_DOWN))
+    exact = Decimal(repr(value))
+    # Enough significant digits for every integer digit of a large value.
+    context = Context(prec=max(exact.adjusted(), 0) + 1 + places)
+    text = str(exact.quantize(Decimal(1).scaleb(-places), ROUND_DOWN, context))
     if "." in text:
         text = text.rstrip("0").rstrip(".")
     return text

@@ -96,6 +96,18 @@ class TransferModel:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise InvalidModelError(f"{name} must be finite and positive, got {value}")
+        try:
+            finite = rotational_overhead(self) < math.inf
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise InvalidModelError("rotational overhead 1/(2R) + B/(R*N) overflows a float")
+
+
+def rotational_overhead(model: TransferModel) -> float:
+    """The constant 1/(2R) + B/(R*N) added to every average seek."""
+    r = model.rotation_speed
+    return 1.0 / (2.0 * r) + model.bytes_to_transfer / (r * model.bytes_per_track)
 
 
 @dataclass(frozen=True)

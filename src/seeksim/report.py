@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .metrics import MetricRow, display, transfer_time
+from .metrics import MetricRow, average_seek, display, transfer_time
 from .model import (
     DiskGeometry,
     Instance,
@@ -136,7 +136,7 @@ def _metric_row(name: str, instance: Instance, model: TransferModel) -> MetricRo
     n = len(schedule.service_order)
     if n == 0:
         return MetricRow(name, schedule.total_seek, None, None, schedule.service_order)
-    avg = schedule.total_seek / n
+    avg = average_seek(schedule, n)
     return MetricRow(name, schedule.total_seek, avg, transfer_time(avg, model), schedule.service_order)
 
 

@@ -52,48 +52,98 @@ def schedule_fifo(queue: Sequence[Track], head: Track) -> Schedule:
     return _served("FIFO", head, queue)
 
 
-def _sstf_run(pos: Track, pending: list[Track]) -> tuple[int, list[Track]]:
-    """Greedy nearest-request order over a sorted pending list.
+# A state of the SSTF walk over t = sorted(queue): (lo, hi, pos). The serviced
+# requests are exactly t[lo + 1] .. t[hi - 1], pos is the track the head
+# stands on, and t[lo] / t[hi] are the nearest pending requests below / above
+# (lo < 0 or hi == len(t) when that side is empty).
+_State = tuple[int, int, Track]
 
-    When two pending tracks are equidistant, both continuations are evaluated
-    and the cheaper one wins (equal cost resolves to the lower track). The
-    lookahead makes total_seek independent of translation and reflection of
-    the instance; each simultaneous tie doubles the work, so cost grows with
-    the number of exact equidistant ties encountered.
+
+def _walk(t: list[Track], state: _State, order: list[Track] | None) -> tuple[int, _State | None]:
+    """Take SSTF's forced steps from ``state``, appending each serviced track
+    to ``order`` when one is given.
+
+    Returns the seek cost of the steps taken and the state at the first
+    exact equidistant tie, or None as the state once every request is
+    serviced (after one side empties, the other is taken in one run).
     """
-    total = 0
-    order: list[Track] = []
-    while pending:
-        i = bisect_left(pending, pos)
-        if i == len(pending):
-            idx = i - 1
-        elif i == 0 or pending[i] == pos:
-            idx = i
+    lo, hi, pos = state
+    n = len(t)
+    cost = 0
+    while lo >= 0 and hi < n:
+        d_lo, d_hi = pos - t[lo], t[hi] - pos
+        if d_lo < d_hi:
+            cost, pos, lo = cost + d_lo, t[lo], lo - 1
+        elif d_hi < d_lo:
+            cost, pos, hi = cost + d_hi, t[hi], hi + 1
         else:
-            d_lo = pos - pending[i - 1]
-            d_hi = pending[i] - pos
-            if d_lo < d_hi:
-                idx = i - 1
-            elif d_hi < d_lo:
-                idx = i
-            else:
-                lo, hi = pending[i - 1], pending[i]
-                t_lo, o_lo = _sstf_run(lo, pending[: i - 1] + pending[i:])
-                t_hi, o_hi = _sstf_run(hi, pending[:i] + pending[i + 1 :])
-                if t_hi < t_lo:
-                    return total + d_hi + t_hi, order + [hi] + o_hi
-                return total + d_lo + t_lo, order + [lo] + o_lo
-        nxt = pending.pop(idx)
-        total += abs(nxt - pos)
-        order.append(nxt)
-        pos = nxt
-    return total, order
+            return cost, (lo, hi, pos)
+        if order is not None:
+            order.append(pos)
+    if order is not None:
+        order.extend(t[k] for k in range(lo, -1, -1))
+        order.extend(t[k] for k in range(hi, n))
+    if lo >= 0:
+        cost += pos - t[0]
+    elif hi < n:
+        cost += t[-1] - pos
+    return cost, None
+
+
+def _tie_branches(t: list[Track], tie: _State) -> tuple[_State, _State]:
+    """The states after servicing the lower, or the upper, of the two
+    equidistant requests at ``tie``."""
+    lo, hi, _ = tie
+    return (lo - 1, hi, t[lo]), (lo, hi + 1, t[hi])
+
+
+def _finish_cost(t: list[Track], state: _State, memo: dict[_State, int]) -> int:
+    """Seek cost for SSTF to service every pending request from ``state``.
+
+    Nested ties are resolved with an explicit stack instead of recursion: a
+    state whose walk stops at a tie waits until both branches are priced.
+    ``memo`` caches every priced state across calls, so the lookahead prices
+    at most O(n^2) distinct states, each with one walk.
+    """
+    stack = [] if state in memo else [(state, *_walk(t, state, None))]
+    while stack:
+        current, cost, tie = stack[-1]
+        if tie is not None:
+            branches = _tie_branches(t, tie)
+            missing = [b for b in branches if b not in memo]
+            if missing:
+                stack.extend((b, *_walk(t, b, None)) for b in missing)
+                continue
+            _, hi, pos = tie
+            cost += t[hi] - pos + min(memo[b] for b in branches)
+        memo[current] = cost
+        stack.pop()
+    return memo[state]
 
 
 def schedule_sstf(queue: Sequence[Track], head: Track) -> Schedule:
-    """Repeatedly service the pending request nearest the current head."""
-    _, order = _sstf_run(head, sorted(queue))
-    return _served("SSTF", head, order)
+    """Repeatedly service the pending request nearest the current head.
+
+    The serviced requests always form one contiguous block of the sorted
+    queue, so the walk keeps two indices, the nearest pending request below
+    and above, and costs O(n) after the O(n log n) sort. When the two are
+    equidistant, the side from which finishing is cheaper wins (equal cost
+    resolves to the lower track); this lookahead makes total_seek independent
+    of translation and reflection of the instance. It is memoized on the
+    walk state, so exact ties cost at most O(n^2) states.
+    """
+    t = sorted(queue)
+    hi = bisect_left(t, head)
+    order: list[Track] = []
+    memo: dict[_State, int] = {}
+    state = (hi - 1, hi, head)
+    while True:
+        _, tie = _walk(t, state, order)
+        if tie is None:
+            return _served("SSTF", head, order)
+        below, above = _tie_branches(t, tie)
+        state = below if _finish_cost(t, below, memo) <= _finish_cost(t, above, memo) else above
+        order.append(state[2])
 
 
 def _sweep_direction(h: Track, below: list[Track], above: list[Track]) -> int:

@@ -111,13 +111,24 @@ def parse_requests(text: str) -> tuple[tuple[int, ...], int | None]:
     return tuple(tracks), head
 
 
+_ECHO_LIMIT = 20
+
+
+def _echo(token: str) -> str:
+    """``token`` quoted for an error message; a long one is cut to a prefix
+    followed by its length."""
+    if len(token) <= _ECHO_LIMIT:
+        return repr(token)
+    return f"{token[:_ECHO_LIMIT]!r}... ({len(token)} characters)"
+
+
 def _parse_track(token: str, line: int, column: int) -> int:
     try:
         value = int(token)
     except ValueError:
-        raise ParseError(f"expected an integer track, got {token!r}", line, column) from None
+        raise ParseError(f"expected an integer track, got {_echo(token)}", line, column) from None
     if value < 0:
-        raise NegativeTrackError(f"track must be non-negative, got {value}", line, column)
+        raise NegativeTrackError(f"track must be non-negative, got {_echo(token)}", line, column)
     return value
 
 

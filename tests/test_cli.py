@@ -100,12 +100,22 @@ def test_custom_geometry_changes_cscan_wrap(capsys):
         ("verify", "--max-n", "9"),
         ("run", "--case", "1", "--rps", "nan"),
         ("run", "--case", "1", "--rps", "inf"),
+        ("run", "--case", "1", "--algo", "odsa", "--rps", "1e-320"),
+        ("run", "--case", "1", "--bytes", "9" * 400),
+        ("run", "--head", str(2**1100), "--requests", f"1,{2**1100}", "--max-track", str(2**1100)),
     ],
 )
 def test_invalid_input_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_oversized_token_error_is_one_short_line(capsys):
+    code, out, err = run_cli(capsys, "run", "--head", "5", "--requests", "1," + "7" * 5000)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert len(err.encode()) < 200 and "5000 characters" in err
 
 
 def test_run_non_utf8_input_exits_2(capsys, tmp_path):

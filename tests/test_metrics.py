@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from seeksim.metrics import (
     EmptyScheduleError,
+    MetricOverflowError,
     average_seek,
     display,
     rotational_overhead,
@@ -76,6 +77,18 @@ def test_summarize_keeps_transfer_above_average():
 def test_display_truncates_not_rounds():
     assert display(48.011917162698413) == "48.01191"
     assert display(0.0119171626984127) == "0.01191"
+
+
+def test_metrics_too_large_for_a_float_raise():
+    with pytest.raises(MetricOverflowError):
+        average_seek(schedule_with_total(2**1100, n=2))
+    with pytest.raises(MetricOverflowError):
+        transfer_time(1.7976931348623157e308, TransferModel(rotation_speed=1e-300))
+
+
+def test_display_prints_large_values_in_full():
+    assert display(1e24) == "1" + "0" * 24
+    assert display(1.2345678901234569e23) == "123456789012345690000000"
 
 
 def test_display_strips_trailing_zeros():

@@ -38,6 +38,9 @@ def test_transfer_model_defaults():
         {"rotation_speed": 0},
         {"rotation_speed": float("nan")},
         {"rotation_speed": float("inf")},
+        {"rotation_speed": 1e-320},
+        {"bytes_to_transfer": 10**400},
+        {"bytes_per_track": 10**400},
     ],
 )
 def test_transfer_model_rejects_nonpositive(kwargs):

@@ -4,7 +4,13 @@ Expected totals and orders were frozen from hand traces of each algorithm's
 path and cross-checked against the exhaustive oracle where applicable.
 """
 
+import random
+import time
+from bisect import bisect_left
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seeksim.model import DiskGeometry
 from seeksim.schedulers import (
@@ -98,6 +104,95 @@ def test_sstf_request_at_head_goes_first():
     s = schedule_sstf([45, 45, 60], 45)
     assert s.service_order == (45, 45, 60)
     assert s.total_seek == 15
+
+
+def test_sstf_nested_tie_decides_the_first():
+    # 7 and 13 tie at 3 from 10. After 7 every step is forced: 7, 13, 19, 0
+    # costs 34. After 13, 7 and 19 tie again at 6: 13, 7, 0, 19 costs 35 in
+    # all and 13, 19, 7, 0 costs 28. Only pricing the nested tie makes the
+    # upper side the cheaper one at the first tie.
+    s = schedule_sstf([0, 7, 13, 19], 10)
+    assert s.service_order == (13, 19, 7, 0)
+    assert s.total_seek == 28
+
+
+def test_sstf_long_chain_of_exact_ties():
+    # Every step below the head is an exact tie with head + 1: 1100 nested
+    # ties, which a recursive lookahead cannot follow. Going up once and then
+    # down to the lowest request is the cheapest continuation.
+    head = 2**1100
+    queue = [head + 1] + [head - (2**i - 1) for i in range(1100)]
+    s = schedule_sstf(queue, head)
+    assert sorted(s.service_order) == sorted(queue)
+    assert s.service_order[:3] == (head, head + 1, head - 1)
+    assert s.total_seek == 2**1099 + 1
+
+
+def _reference_sstf_run(pos, pending):
+    """The recursive SSTF with tie lookahead that the linear walk replaced:
+    pop the nearest request; at an exact tie, run both continuations and
+    keep the cheaper (the lower track on equal cost)."""
+    total = 0
+    order = []
+    while pending:
+        i = bisect_left(pending, pos)
+        if i == len(pending):
+            idx = i - 1
+        elif i == 0 or pending[i] == pos:
+            idx = i
+        else:
+            d_lo = pos - pending[i - 1]
+            d_hi = pending[i] - pos
+            if d_lo < d_hi:
+                idx = i - 1
+            elif d_hi < d_lo:
+                idx = i
+            else:
+                lo, hi = pending[i - 1], pending[i]
+                t_lo, o_lo = _reference_sstf_run(lo, pending[: i - 1] + pending[i:])
+                t_hi, o_hi = _reference_sstf_run(hi, pending[:i] + pending[i + 1 :])
+                if t_hi < t_lo:
+                    return total + d_hi + t_hi, order + [hi] + o_hi
+                return total + d_lo + t_lo, order + [lo] + o_lo
+        nxt = pending.pop(idx)
+        total += abs(nxt - pos)
+        order.append(nxt)
+        pos = nxt
+    return total, order
+
+
+# Tracks at small offsets either side of the head, plus a few doubling gaps,
+# so that exact and nested ties are common.
+tie_offsets = st.one_of(st.integers(0, 8), st.sampled_from((1, 3, 7, 15, 31)))
+tie_heavy_queues = st.lists(
+    st.tuples(st.sampled_from((-1, 1)), tie_offsets).map(lambda so: 100 + so[0] * so[1]),
+    max_size=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tie_heavy_queues, st.integers(95, 105))
+def test_sstf_matches_recursive_reference(queue, head):
+    total, order = _reference_sstf_run(head, sorted(queue))
+    s = schedule_sstf(queue, head)
+    assert s.service_order == tuple(order)
+    assert s.total_seek == total
+
+
+def test_sstf_scales_near_linearly():
+    # Loose scaling check, no absolute time: ten times the requests may take
+    # at most thirty times as long (the quadratic list.pop walk took ~45x).
+    def best_of_3(n):
+        rng = random.Random(2024)
+        queue = [rng.randint(0, 10**6) for _ in range(n)]
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            schedule_sstf(queue, 50_000)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    assert best_of_3(100_000) < 30 * best_of_3(10_000)
 
 
 # ---------------------------------------------------------------- SCAN
