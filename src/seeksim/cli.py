@@ -23,6 +23,7 @@ from .model import (
     DiskGeometry,
     SchedulingError,
     TransferModel,
+    _echo,
     validate_instance,
 )
 from .report import (
@@ -33,6 +34,7 @@ from .report import (
     run_comparison,
     run_property_campaign,
 )
+from .schedulers import ORACLE_MAX_REQUESTS
 from .workload import (
     WorkloadSpec,
     generate,
@@ -53,13 +55,22 @@ _ALGO_TOKENS = {
 }
 
 
+def _int(text: str) -> int:
+    """argparse type for integer flags: like ``int``, but a rejected value is
+    echoed cut to a short prefix, not in full."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
+
+
 def _geometry_args(parser: argparse.ArgumentParser) -> None:
     # None marks an unset flag, which --case conflict detection relies on.
     parser.add_argument(
-        "--min-track", type=int, default=None, help=f"lowest track (default {DEFAULT_MIN_TRACK})"
+        "--min-track", type=_int, default=None, help=f"lowest track (default {DEFAULT_MIN_TRACK})"
     )
     parser.add_argument(
-        "--max-track", type=int, default=None, help=f"highest track (default {DEFAULT_MAX_TRACK})"
+        "--max-track", type=_int, default=None, help=f"highest track (default {DEFAULT_MAX_TRACK})"
     )
 
 
@@ -70,8 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="score an instance under the selected algorithms")
-    run.add_argument("--case", type=int, choices=(1, 2, 3), help="bundled benchmark case")
-    run.add_argument("--head", type=int, help="initial head position")
+    run.add_argument("--case", type=_int, choices=(1, 2, 3), help="bundled benchmark case")
+    run.add_argument("--head", type=_int, help="initial head position")
     run.add_argument("--requests", help="inline request list, e.g. '25,10,151'")
     run.add_argument("--input", help="request file (see README for the format)")
     run.add_argument(
@@ -79,11 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _geometry_args(run)
     run.add_argument(
-        "--bytes", type=int, default=DEFAULT_BYTES_TO_TRANSFER,
+        "--bytes", type=_int, default=DEFAULT_BYTES_TO_TRANSFER,
         help="bytes to transfer (default %(default)s)",
     )
     run.add_argument(
-        "--track-bytes", type=int, default=DEFAULT_BYTES_PER_TRACK,
+        "--track-bytes", type=_int, default=DEFAULT_BYTES_PER_TRACK,
         help="bytes per track (default %(default)s)",
     )
     run.add_argument(
@@ -101,18 +112,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     gen = sub.add_parser("gen", help="generate a seeded uniform request file")
-    gen.add_argument("--count", type=int, required=True, help="number of requests")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--head", type=int, default=None, help="include a head directive")
+    gen.add_argument("--count", type=_int, required=True, help="number of requests")
+    gen.add_argument("--seed", type=_int, default=0)
+    gen.add_argument("--head", type=_int, default=None, help="include a head directive")
     _geometry_args(gen)
     gen.add_argument("-o", "--output", default=None, help="write to a file instead of stdout")
 
-    verify = sub.add_parser("verify", help="randomized campaign against the exhaustive oracle")
-    verify.add_argument("--trials", type=int, default=1000)
-    verify.add_argument("--seed", type=int, default=0)
+    verify = sub.add_parser("verify", help="randomized campaign against the exact oracle")
+    verify.add_argument("--trials", type=_int, default=1000)
+    verify.add_argument("--seed", type=_int, default=0)
     verify.add_argument(
-        "--max-n", type=int, default=CAMPAIGN_MAX_N,
-        help="largest queue per trial (default and maximum %(default)s)",
+        "--max-n", type=_int, default=CAMPAIGN_MAX_N,
+        help=f"largest queue per trial (default %(default)s, at most {ORACLE_MAX_REQUESTS})",
     )
 
     return parser
@@ -144,7 +155,7 @@ def _resolve_instance(args: argparse.Namespace):
     if args.requests is not None:
         queue, file_head = parse_requests(args.requests)
     elif args.input is not None:
-        with open(args.input, encoding="utf-8") as f:
+        with open(args.input, encoding="utf-8-sig") as f:
             try:
                 text = f.read()
             except UnicodeDecodeError as exc:

@@ -41,13 +41,28 @@ class EmptyGeometryError(SchedulingError):
     """min_track >= max_track."""
 
 
+_ECHO_LIMIT = 20
+_SHOWN_TRACKS = 3
+
+
+def _echo(token: str) -> str:
+    """``token`` quoted for an error message; a long one is cut to a prefix
+    followed by its length."""
+    if len(token) <= _ECHO_LIMIT:
+        return repr(token)
+    return f"{token[:_ECHO_LIMIT]!r}... ({len(token)} characters)"
+
+
 class OutOfRangeError(SchedulingError):
-    """One or more tracks fall outside the disk geometry."""
+    """One or more tracks fall outside the disk geometry. ``offending``
+    holds them all; the message names the first few."""
 
     def __init__(self, offending: Sequence[int], geometry: "DiskGeometry"):
         self.offending = tuple(offending)
         self.geometry = geometry
-        tracks = ", ".join(str(t) for t in self.offending)
+        tracks = ", ".join(_echo(str(t)) for t in self.offending[:_SHOWN_TRACKS])
+        if len(self.offending) > _SHOWN_TRACKS:
+            tracks += f" and {len(self.offending) - _SHOWN_TRACKS} more"
         super().__init__(
             f"track(s) {tracks} outside geometry "
             f"[{geometry.min_track}, {geometry.max_track}]"

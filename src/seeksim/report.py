@@ -25,6 +25,7 @@ from .model import (
     validate_instance,
 )
 from .schedulers import (
+    ORACLE_MAX_REQUESTS,
     brute_force_optimal,
     schedule_cscan,
     schedule_fifo,
@@ -353,17 +354,17 @@ def run_property_campaign(
     max_n: int = CAMPAIGN_MAX_N,
     geometry: DiskGeometry | None = None,
 ) -> CampaignSummary:
-    """Check random instances against the exhaustive oracle.
+    """Check random instances against the exact optimal-order oracle.
 
     Per trial: permutation validity of all six algorithms, the single-sweep
-    closed form, equality with the brute-force optimum, and dominance over
-    the five baselines. max_n is capped at 8 so every trial stays within the
-    oracle bound with headroom.
+    closed form, equality with the oracle's optimum, and dominance over the
+    five baselines. Each trial draws a queue of 1 to max_n requests; max_n
+    may be at most the oracle bound, ORACLE_MAX_REQUESTS.
     """
     if trials < 1:
         raise SchedulingError(f"trials must be >= 1, got {trials}")
-    if not 1 <= max_n <= CAMPAIGN_MAX_N:
-        raise SchedulingError(f"max_n must be in [1, {CAMPAIGN_MAX_N}], got {max_n}")
+    if not 1 <= max_n <= ORACLE_MAX_REQUESTS:
+        raise SchedulingError(f"max_n must be in [1, {ORACLE_MAX_REQUESTS}], got {max_n}")
     g = geometry if geometry is not None else DiskGeometry()
     rng = random.Random(seed)
     passes = 0

@@ -1,4 +1,4 @@
-"""The six scheduling algorithms plus an exhaustive permutation oracle.
+"""The six scheduling algorithms plus an exact optimal-order oracle.
 
 Every scheduler is a pure function mapping (queue, head[, geometry]) to a
 Schedule. Shared conventions:
@@ -19,16 +19,16 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Literal, Sequence
 
 from .model import DiskGeometry, Schedule, SchedulingError, Track
 
-BRUTE_FORCE_MAX_REQUESTS = 9
+ORACLE_MAX_REQUESTS = 2000
 
 
 class QueueTooLargeError(SchedulingError):
-    """Queue exceeds the factorial-search bound of the oracle."""
+    """Queue exceeds the oracle bound, ORACLE_MAX_REQUESTS: the oracle's
+    O(n^2) time and memory would grow past a few seconds and megabytes."""
 
 
 @dataclass(frozen=True)
@@ -246,28 +246,62 @@ def schedule_odsa(queue: Sequence[Track], head: Track) -> Schedule:
 
 
 def brute_force_optimal(queue: Sequence[Track], head: Track) -> Schedule:
-    """Exhaustive oracle: try every service order and keep the cheapest.
+    """Exact oracle: the cheapest service order, by dynamic programming over
+    the blocks of the sorted queue.
 
-    Ties resolve to the lexicographically smallest service sequence. Bounded
-    at 9 requests; raises QueueTooLargeError beyond that so callers can skip
-    the comparison.
+    Some cheapest order always services a growing contiguous block of
+    ``t = sorted(queue)``: each request is taken when the head first passes
+    it. A state ``(i, j, end)`` means ``t[i..j]`` are serviced and the head
+    stands at ``t[i]`` (end 0) or ``t[j]`` (end 1); each step extends the
+    block down to ``t[i-1]`` or up to ``t[j+1]``. The cost-to-go of every
+    state is filled by decreasing ``j - i``, O(n^2) time and bytes in all,
+    and the order is rebuilt from the first stop by stepping down whenever
+    that is optimal. Ties resolve to the lexicographically smallest service
+    sequence, as an exhaustive search over every order would: the first stop
+    is the lowest optimal one, and stepping down reaches the lower track.
+    The search never consults ODSA's closed form, so it can check it.
+
+    Raises QueueTooLargeError beyond ORACLE_MAX_REQUESTS requests.
     """
-    if len(queue) > BRUTE_FORCE_MAX_REQUESTS:
+    if len(queue) > ORACLE_MAX_REQUESTS:
         raise QueueTooLargeError(
-            f"{len(queue)} requests exceed the oracle bound of {BRUTE_FORCE_MAX_REQUESTS}"
+            f"{len(queue)} requests exceed the oracle bound of {ORACLE_MAX_REQUESTS}"
         )
-    best_total: int | None = None
-    best_order: tuple[Track, ...] = ()
-    for perm in permutations(sorted(queue)):
-        total = 0
-        prev = head
-        for t in perm:
-            total += abs(t - prev)
-            prev = t
-            if best_total is not None and total >= best_total:
-                break
+    t = sorted(queue)
+    n = len(t)
+    if not n:
+        return _served("OPTIMAL", head, ())
+    # Cost-to-go of the blocks of the current width, indexed by i, with the
+    # head at the low end and at the high end; the full block costs nothing.
+    at_low = at_high = [0]
+    # steps_down[width][i]: bit ``end`` is set when stepping down is optimal
+    # from state (i, i + width, end); ties go down.
+    steps_down = [bytearray()] * (n - 1)
+    for width in range(n - 2, -1, -1):
+        # From a track x in block (i, i + width), stepping down and finishing
+        # costs x + down[i - 1]; stepping up and finishing costs up[i] - x.
+        # The lowest block can only step up and the highest only down.
+        down = [c - p for c, p in zip(at_low, t)]
+        up = [c + q for c, q in zip(at_high, t[width + 1 :])]
+        new_low, new_high, flags = [up[0] - t[0]], [up[0] - t[width]], bytearray(1)
+        for a, b, d, u in zip(t[1:], t[width + 1 :], down, up[1:]):
+            low_down, high_down = a + d <= u - a, b + d <= u - b
+            new_low.append(a + d if low_down else u - a)
+            new_high.append(b + d if high_down else u - b)
+            flags.append(low_down | high_down << 1)
+        new_low.append(t[n - 1 - width] + down[-1])
+        new_high.append(t[n - 1] + down[-1])
+        flags.append(3)
+        at_low, at_high, steps_down[width] = new_low, new_high, flags
+    first = min(range(n), key=lambda k: abs(head - t[k]) + at_low[k])
+    i = j = first
+    end = 0
+    order = [t[first]]
+    while j - i < n - 1:
+        if steps_down[j - i][i] >> end & 1:
+            i, end = i - 1, 0
+            order.append(t[i])
         else:
-            if best_total is None or total < best_total:
-                best_total = total
-                best_order = perm
-    return _served("OPTIMAL", head, best_order)
+            j, end = j + 1, 1
+            order.append(t[j])
+    return _served("OPTIMAL", head, order)

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .model import DiskGeometry, SchedulingError
+from .model import DiskGeometry, SchedulingError, _echo
 
 
 class UnknownCaseError(SchedulingError):
@@ -109,17 +109,6 @@ def parse_requests(text: str) -> tuple[tuple[int, ...], int | None]:
         for match in re.finditer(r"[^,\s]+", line):
             tracks.append(_parse_track(match.group(), lineno, match.start() + 1))
     return tuple(tracks), head
-
-
-_ECHO_LIMIT = 20
-
-
-def _echo(token: str) -> str:
-    """``token`` quoted for an error message; a long one is cut to a prefix
-    followed by its length."""
-    if len(token) <= _ECHO_LIMIT:
-        return repr(token)
-    return f"{token[:_ECHO_LIMIT]!r}... ({len(token)} characters)"
 
 
 def _parse_track(token: str, line: int, column: int) -> int:

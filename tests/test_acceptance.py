@@ -152,6 +152,14 @@ def test_criterion_6_oracle_equivalence_campaign():
     print(f"PASS criterion 6: 1000/1000 oracle-equivalence trials ({elapsed:.1f}s)")
 
 
+def test_oracle_equivalence_campaign_at_larger_n():
+    # beside criterion 6: queues of up to 64 requests, far beyond what an
+    # exhaustive search over service orders could check
+    summary = run_property_campaign(trials=200, seed=SEED, max_n=64)
+    assert summary.failures == 0, summary.first_counterexample
+    assert summary.passes == 200
+
+
 def test_criterion_7_invariance_suite():
     rng = random.Random(SEED)
     geometry_free = {

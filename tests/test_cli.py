@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from seeksim.cli import main
+from seeksim.schedulers import ORACLE_MAX_REQUESTS
 
 
 def run_cli(capsys, *argv):
@@ -93,11 +94,14 @@ def test_custom_geometry_changes_cscan_wrap(capsys):
         ("run", "--head", "45", "--requests", "999"),
         ("run", "--head", "45", "--requests", "1,2", "--paper-table"),
         ("run", "--case", "1", "--path", "--paper-table"),
-        ("run", "--head", "45", "--requests", ",".join(["5"] * 10), "--algo", "optimal"),
+        (
+            "run", "--head", "45", "--requests", ",".join(["5"] * (ORACLE_MAX_REQUESTS + 1)),
+            "--algo", "optimal",
+        ),
         ("gen", "--count", "0"),
         ("gen", "--count", "3", "--head", "300"),
         ("verify", "--trials", "0"),
-        ("verify", "--max-n", "9"),
+        ("verify", "--max-n", str(ORACLE_MAX_REQUESTS + 1)),
         ("run", "--case", "1", "--rps", "nan"),
         ("run", "--case", "1", "--rps", "inf"),
         ("run", "--case", "1", "--algo", "odsa", "--rps", "1e-320"),
@@ -116,6 +120,53 @@ def test_oversized_token_error_is_one_short_line(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert len(err.encode()) < 200 and "5000 characters" in err
+
+
+@pytest.mark.parametrize(
+    "requests",
+    [",".join(["999"] * 2000), "1," + "7" * 4000],
+    ids=["2000-tracks", "4000-digit-track"],
+)
+def test_out_of_range_error_is_one_short_line(capsys, requests):
+    code, out, err = run_cli(capsys, "run", "--head", "5", "--requests", requests)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "flag", ["--head", "--min-track", "--max-track", "--bytes", "--track-bytes"]
+)
+def test_oversized_integer_flag_is_echoed_short(capsys, flag):
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--head", "5", "--requests", "1", flag, "7" * 5000])
+    err = capsys.readouterr().err
+    assert exit_.value.code == 2
+    assert len(err.encode()) < 1024 and "5000 characters" in err
+    assert "Traceback" not in err
+
+
+def test_run_input_with_utf8_bom(capsys, tmp_path):
+    path = tmp_path / "reqs.txt"
+    path.write_bytes(b"\xef\xbb\xbfhead 45\n25 10 151\n")
+    code, out, err = run_cli(capsys, "run", "--input", str(path))
+    assert code == 0 and err == ""
+    assert out == run_cli(capsys, "run", "--head", "45", "--requests", "25,10,151")[1]
+
+
+@pytest.mark.parametrize("n", [10, ORACLE_MAX_REQUESTS])
+def test_run_optimal_accepts_queue_up_to_bound(capsys, n):
+    code, out, _ = run_cli(
+        capsys, "run", "--head", "45", "--requests", ",".join(["5"] * n), "--algo", "optimal"
+    )
+    assert code == 0
+    assert out.splitlines()[1].startswith("OPTIMAL,40,")
+
+
+def test_verify_accepts_max_n_above_old_limit(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--trials", "20", "--seed", "3", "--max-n", "10")
+    assert code == 0
+    assert out == "trials=20 seed=3 max_n=10\npasses=20 failures=0\n"
 
 
 def test_run_non_utf8_input_exits_2(capsys, tmp_path):

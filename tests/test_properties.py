@@ -4,10 +4,12 @@ The heavyweight randomized campaign lives in the acceptance suite; these use
 hypothesis to hunt adversarial shapes (ties, duplicates, head on a request).
 """
 
+from itertools import permutations
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seeksim.model import DiskGeometry
+from seeksim.model import DiskGeometry, Schedule
 from seeksim.schedulers import (
     brute_force_optimal,
     schedule_cscan,
@@ -30,6 +32,27 @@ GEOMETRY_FREE = {
     "LOOK": schedule_look,
     "ODSA": schedule_odsa,
 }
+
+
+def _brute_force_reference(queue, head):
+    """Exhaustive search over every service order, keeping the cheapest; ties
+    resolve to the lexicographically smallest order. The oracle for the
+    oracle: factorial time, so only for small queues."""
+    best_total = None
+    best_order = ()
+    for perm in permutations(sorted(queue)):
+        total = 0
+        prev = head
+        for t in perm:
+            total += abs(t - prev)
+            prev = t
+            if best_total is not None and total >= best_total:
+                break
+        else:
+            if best_total is None or total < best_total:
+                best_total = total
+                best_order = perm
+    return Schedule("OPTIMAL", head, best_order)
 
 
 def all_schedules(queue, head):
@@ -74,7 +97,27 @@ def test_odsa_sweep_is_monotone(queue, head):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(tracks, min_size=1, max_size=6), heads)
 def test_odsa_matches_exhaustive_oracle(queue, head):
-    assert schedule_odsa(queue, head).total_seek == brute_force_optimal(queue, head).total_seek
+    odsa = schedule_odsa(queue, head).total_seek
+    assert odsa == _brute_force_reference(queue, head).total_seek
+    assert odsa == brute_force_optimal(queue, head).total_seek
+
+
+# Narrow spans make duplicate tracks and equal-cost orders common.
+small_instances = st.integers(1, 12).flatmap(
+    lambda span: st.tuples(
+        st.lists(st.integers(0, span), max_size=8), st.integers(0, span + 3)
+    )
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(small_instances)
+def test_oracle_matches_brute_force_reference(instance):
+    queue, head = instance
+    got = brute_force_optimal(queue, head)
+    want = _brute_force_reference(queue, head)
+    assert got.service_order == want.service_order
+    assert got.total_seek == want.total_seek
 
 
 @given(queues, heads)

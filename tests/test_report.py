@@ -18,6 +18,7 @@ from seeksim.report import (
     run_property_campaign,
     run_schedule,
 )
+from seeksim.schedulers import ORACLE_MAX_REQUESTS
 from seeksim.workload import reference_case
 
 
@@ -202,7 +203,7 @@ def test_campaign_is_deterministic():
     assert run_property_campaign(10, seed=5) == run_property_campaign(10, seed=5)
 
 
-@pytest.mark.parametrize("bad_n", [0, 9, 10])
+@pytest.mark.parametrize("bad_n", [0, ORACLE_MAX_REQUESTS + 1])
 def test_campaign_rejects_max_n_outside_oracle_bound(bad_n):
     with pytest.raises(SchedulingError):
         run_property_campaign(5, max_n=bad_n)

@@ -1,7 +1,7 @@
 """Golden results for the three bundled cases plus edge-case behavior.
 
 Expected totals and orders were frozen from hand traces of each algorithm's
-path and cross-checked against the exhaustive oracle where applicable.
+path and cross-checked against the optimal-order oracle where applicable.
 """
 
 import random
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from seeksim.model import DiskGeometry
 from seeksim.schedulers import (
+    ORACLE_MAX_REQUESTS,
     QueueTooLargeError,
     brute_force_optimal,
     plan_odsa,
@@ -383,7 +384,7 @@ def test_odsa_plan_tie_prefers_low_end():
     assert p.start_end == "low"
 
 
-# ------------------------------------------------------ exhaustive oracle
+# ------------------------------------------------------ optimal-order oracle
 
 def test_oracle_matches_odsa_on_case1():
     q, h = case(1)
@@ -400,14 +401,32 @@ def test_oracle_empty_queue():
     assert brute_force_optimal([], 45).total_seek == 0
 
 
-def test_oracle_rejects_more_than_nine_requests():
+def test_oracle_rejects_queue_over_bound():
     with pytest.raises(QueueTooLargeError):
-        brute_force_optimal(list(range(10)), 45)
+        brute_force_optimal(list(range(ORACLE_MAX_REQUESTS + 1)), 45)
 
 
 def test_oracle_accepts_nine_requests():
     s = brute_force_optimal(list(range(0, 90, 10)), 45)
     assert s.total_seek == 115  # min(|45-0|, |45-80|) + span
+
+
+@pytest.mark.parametrize("n", [10, ORACLE_MAX_REQUESTS])
+def test_oracle_accepts_queue_up_to_bound(n):
+    rng = random.Random(n)
+    queue = [rng.randint(0, 10**6) for _ in range(n)]
+    head = 500_000
+    lo, hi = min(queue), max(queue)
+    # the lexicographically smallest optimal order: one ascending sweep when
+    # the low end is no farther, else up from the head and then back down
+    if head - lo <= hi - head:
+        want = sorted(queue)
+    else:
+        up, down = [t for t in queue if t >= head], [t for t in queue if t < head]
+        want = sorted(up) + sorted(down, reverse=True)
+    s = brute_force_optimal(queue, head)
+    assert s.service_order == tuple(want)
+    assert s.total_seek == min(abs(head - lo), abs(head - hi)) + (hi - lo)
 
 
 def test_oracle_tie_breaks_lexicographically():
