@@ -36,6 +36,7 @@ from .report import (
 )
 from .schedulers import ORACLE_MAX_REQUESTS
 from .workload import (
+    BENCHMARK_CASES,
     WorkloadSpec,
     generate,
     parse_requests,
@@ -64,6 +65,24 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
 
 
+def _float(text: str) -> float:
+    """argparse type for float flags, echoing a rejected value like ``_int``."""
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {_echo(text)}") from None
+
+
+def _case(text: str) -> int:
+    """argparse type for ``--case``: a bundled case id, echoed like ``_int``
+    when rejected."""
+    case_id = _int(text)
+    if case_id not in BENCHMARK_CASES:
+        choices = ", ".join(map(str, BENCHMARK_CASES))
+        raise argparse.ArgumentTypeError(f"invalid choice: {_echo(text)} (choose from {choices})")
+    return case_id
+
+
 def _geometry_args(parser: argparse.ArgumentParser) -> None:
     # None marks an unset flag, which --case conflict detection relies on.
     parser.add_argument(
@@ -81,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="score an instance under the selected algorithms")
-    run.add_argument("--case", type=_int, choices=(1, 2, 3), help="bundled benchmark case")
+    run.add_argument("--case", type=_case, metavar="{1,2,3}", help="bundled benchmark case")
     run.add_argument("--head", type=_int, help="initial head position")
     run.add_argument("--requests", help="inline request list, e.g. '25,10,151'")
     run.add_argument("--input", help="request file (see README for the format)")
@@ -98,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bytes per track (default %(default)s)",
     )
     run.add_argument(
-        "--rps", type=float, default=DEFAULT_ROTATION_SPEED,
+        "--rps", type=_float, default=DEFAULT_ROTATION_SPEED,
         help="rotation speed, rev/s (default %(default)s)",
     )
     run.add_argument("--format", choices=("csv", "json"), default="csv")

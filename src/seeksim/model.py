@@ -9,7 +9,9 @@ are immutable and safe to share across threads or processes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 Track = int
@@ -65,7 +67,7 @@ class OutOfRangeError(SchedulingError):
             tracks += f" and {len(self.offending) - _SHOWN_TRACKS} more"
         super().__init__(
             f"track(s) {tracks} outside geometry "
-            f"[{geometry.min_track}, {geometry.max_track}]"
+            f"[{_echo(str(geometry.min_track))}, {_echo(str(geometry.max_track))}]"
         )
 
 
@@ -83,7 +85,8 @@ class DiskGeometry:
     def __post_init__(self):
         if self.min_track >= self.max_track:
             raise EmptyGeometryError(
-                f"min_track ({self.min_track}) must be < max_track ({self.max_track})"
+                f"min_track ({_echo(str(self.min_track))}) must be "
+                f"< max_track ({_echo(str(self.max_track))})"
             )
 
     @property
@@ -148,7 +151,7 @@ class Schedule:
 
     def __post_init__(self):
         path = self.head_path()
-        seeks = tuple(abs(b - a) for a, b in zip(path, path[1:]))
+        seeks = tuple(map(abs, map(operator.sub, path[1:], path)))
         service = self.stops
         for i in reversed(self.idle):
             service = service[:i] + service[i + 1 :]
@@ -170,6 +173,12 @@ class Instance:
     head: Track
     geometry: DiskGeometry
 
+    @cached_property
+    def tracks(self) -> tuple[Track, ...]:
+        """The queue in ascending order, sorted once per instance. Every
+        scheduler but FIFO depends only on this multiset."""
+        return tuple(sorted(self.queue))
+
 
 def validate_instance(
     queue: Sequence[Track],
@@ -184,9 +193,9 @@ def validate_instance(
     """
     q = tuple(queue)
     g = geometry if geometry is not None else DiskGeometry()
-    offending = [t for t in q if not g.contains(t)]
-    if not g.contains(head):
-        offending.append(head)
-    if offending:
+    if (q and not (g.contains(min(q)) and g.contains(max(q)))) or not g.contains(head):
+        offending = [t for t in q if not g.contains(t)]
+        if not g.contains(head):
+            offending.append(head)
         raise OutOfRangeError(offending, g)
     return Instance(q, head, g)

@@ -8,8 +8,6 @@ so identical inputs give byte-identical text.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import random
 from dataclasses import dataclass, field
@@ -40,12 +38,14 @@ ORACLE_NAME = "OPTIMAL"
 
 _BUILDERS: dict[str, Callable[[Instance], Schedule]] = {
     "FIFO": lambda inst: schedule_fifo(inst.queue, inst.head),
-    "SSTF": lambda inst: schedule_sstf(inst.queue, inst.head),
-    "SCAN": lambda inst: schedule_scan(inst.queue, inst.head, inst.geometry),
-    "C-SCAN": lambda inst: schedule_cscan(inst.queue, inst.head, inst.geometry),
-    "LOOK": lambda inst: schedule_look(inst.queue, inst.head),
-    "ODSA": lambda inst: schedule_odsa(inst.queue, inst.head),
-    ORACLE_NAME: lambda inst: brute_force_optimal(inst.queue, inst.head),
+    # The others depend only on the multiset of requests, so they take the
+    # instance's sorted tracks and their own sort runs in linear time.
+    "SSTF": lambda inst: schedule_sstf(inst.tracks, inst.head),
+    "SCAN": lambda inst: schedule_scan(inst.tracks, inst.head, inst.geometry),
+    "C-SCAN": lambda inst: schedule_cscan(inst.tracks, inst.head, inst.geometry),
+    "LOOK": lambda inst: schedule_look(inst.tracks, inst.head),
+    "ODSA": lambda inst: schedule_odsa(inst.tracks, inst.head),
+    ORACLE_NAME: lambda inst: brute_force_optimal(inst.tracks, inst.head),
 }
 
 # Values printed in the original ODSA study's comparison tables, by case and
@@ -121,15 +121,21 @@ class ComparisonReport:
 
 @dataclass(frozen=True)
 class HeadPathSeries:
-    """(step, track) points tracing the full head path of one schedule,
-    preliminary stops included; point 0 is the initial head position."""
+    """The full head path of one schedule, preliminary stops included;
+    ``path[0]`` is the initial head position and ``path[i]`` the track at
+    step ``i``."""
 
     algorithm: str
-    points: tuple[tuple[int, int], ...]
+    path: tuple[int, ...]
+
+    @property
+    def points(self) -> tuple[tuple[int, int], ...]:
+        """The path as (step, track) pairs."""
+        return tuple(enumerate(self.path))
 
     @classmethod
     def from_schedule(cls, schedule: Schedule) -> "HeadPathSeries":
-        return cls(schedule.algorithm, tuple(enumerate(schedule.head_path())))
+        return cls(schedule.algorithm, schedule.head_path())
 
 
 def _metric_row(name: str, instance: Instance, model: TransferModel) -> MetricRow:
@@ -186,9 +192,10 @@ def _published_cells(report: ComparisonReport, row: MetricRow) -> tuple[str, str
     return pub_avg, pub_transfer, note
 
 
+# The CSV emitters join cells directly: no cell can hold a comma, a quote or
+# a newline (algorithm names, ints, float reprs, display strings, the
+# published values and DIVERGENCE_NOTE), so csv.writer would quote nothing.
 def _comparison_csv(report: ComparisonReport, include_published: bool) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
     header = [
         "algorithm",
         "total_seek",
@@ -200,21 +207,21 @@ def _comparison_csv(report: ComparisonReport, include_published: bool) -> str:
     ]
     if include_published:
         header += ["published_average_seek", "published_transfer_time", "note"]
-    writer.writerow(header)
+    lines = [",".join(header)]
     for row in report.rows:
         cells = [
             row.algorithm,
             str(row.total_seek),
             "" if row.average_seek is None else repr(row.average_seek),
             "" if row.transfer_time is None else repr(row.transfer_time),
-            ";".join(str(t) for t in row.service_order),
+            ";".join(map(str, row.service_order)),
             display(row.average_seek),
             display(row.transfer_time),
         ]
         if include_published:
-            cells += list(_published_cells(report, row))
-        writer.writerow(cells)
-    return out.getvalue()
+            cells += _published_cells(report, row)
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def _comparison_json(report: ComparisonReport, include_published: bool) -> str:
@@ -254,19 +261,19 @@ def _comparison_json(report: ComparisonReport, include_published: bool) -> str:
 
 
 def _series_csv(series: Sequence[HeadPathSeries]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["algorithm", "step", "track"])
+    # Every series shares the step column, so each step is formatted once.
+    steps = [f",{i}," for i in range(max((len(s.path) for s in series), default=0))]
+    parts = ["algorithm,step,track\n"]
     for s in series:
-        for step, track in s.points:
-            writer.writerow([s.algorithm, str(step), str(track)])
-    return out.getvalue()
+        name = s.algorithm
+        parts.append("".join([f"{name}{step}{t}\n" for step, t in zip(steps, s.path)]))
+    return "".join(parts)
 
 
 def _series_json(series: Sequence[HeadPathSeries]) -> str:
     doc = {
         "series": [
-            {"algorithm": s.algorithm, "points": [list(p) for p in s.points]}
+            {"algorithm": s.algorithm, "points": [[i, t] for i, t in enumerate(s.path)]}
             for s in series
         ]
     }

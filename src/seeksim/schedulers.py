@@ -1,7 +1,9 @@
 """The six scheduling algorithms plus an exact optimal-order oracle.
 
 Every scheduler is a pure function mapping (queue, head[, geometry]) to a
-Schedule. Shared conventions:
+Schedule. Every scheduler but FIFO depends only on the multiset of requests,
+not on their arrival order, so it may be given the queue already sorted
+(``Instance.tracks``). Shared conventions:
 
 - Requests already under the head are serviced first at zero cost and are
   counted on neither side when a sweep direction is chosen.
@@ -81,8 +83,8 @@ def _walk(t: list[Track], state: _State, order: list[Track] | None) -> tuple[int
         if order is not None:
             order.append(pos)
     if order is not None:
-        order.extend(t[k] for k in range(lo, -1, -1))
-        order.extend(t[k] for k in range(hi, n))
+        order.extend(reversed(t[: lo + 1]))
+        order.extend(t[hi:])
     if lo >= 0:
         cost += pos - t[0]
     elif hi < n:

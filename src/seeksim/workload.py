@@ -52,7 +52,7 @@ def reference_case(case_id: int) -> tuple[tuple[int, ...], int, DiskGeometry]:
     try:
         tracks, head = BENCHMARK_CASES[case_id]
     except KeyError:
-        raise UnknownCaseError(f"unknown case {case_id!r}; choose 1, 2 or 3") from None
+        raise UnknownCaseError(f"unknown case {_echo(str(case_id))}; choose 1, 2 or 3") from None
     return tracks, head, DiskGeometry()
 
 
@@ -82,6 +82,7 @@ def generate(spec: WorkloadSpec) -> tuple[int, ...]:
 
 
 _HEAD_DIRECTIVE = re.compile(r"^head\b")
+_TOKEN = re.compile(r"[^,\s]+")
 
 
 def parse_requests(text: str) -> tuple[tuple[int, ...], int | None]:
@@ -94,9 +95,10 @@ def parse_requests(text: str) -> tuple[tuple[int, ...], int | None]:
     head: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        if not line.strip():
+        stripped = line.strip()
+        if not stripped:
             continue
-        if _HEAD_DIRECTIVE.match(line.strip()):
+        if _HEAD_DIRECTIVE.match(stripped):
             if head is not None:
                 raise ParseError("duplicate head directive", lineno, 1)
             if tracks:
@@ -106,8 +108,15 @@ def parse_requests(text: str) -> tuple[tuple[int, ...], int | None]:
                 raise ParseError("expected 'head <int>'", lineno, 1)
             head = _parse_track(parts[1], lineno, line.index(parts[1]) + 1)
             continue
-        for match in re.finditer(r"[^,\s]+", line):
-            tracks.append(_parse_track(match.group(), lineno, match.start() + 1))
+        # str.split() and the regex's \s split on the same whitespace. A line
+        # that fails is rescanned token by token to report the first bad one.
+        try:
+            values = [int(tok) for tok in line.replace(",", " ").split()]
+        except ValueError:
+            values = None
+        if values is None or (values and min(values) < 0):
+            values = [_parse_track(m.group(), lineno, m.start() + 1) for m in _TOKEN.finditer(line)]
+        tracks.extend(values)
     return tuple(tracks), head
 
 

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import math
+import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from seeksim.cli import main
 from seeksim.schedulers import ORACLE_MAX_REQUESTS
@@ -146,6 +153,40 @@ def test_oversized_integer_flag_is_echoed_short(capsys, flag):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("run", "--case", "1", "--rps", "x" * 5000), ("run", "--case", "7" * 4000)],
+    ids=["rps", "case"],
+)
+def test_oversized_float_and_case_flags_are_echoed_short(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exit_.value.code == 2
+    assert len(err.encode()) < 1024 and "characters" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["0", "4", "-1"])
+def test_case_outside_1_to_3_exits_2(capsys, case):
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--case", case])
+    assert exit_.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [("--min-track", "10", "--max-track", "7" * 4000), ("--min-track", "7" * 4000, "--max-track", "5")],
+    ids=["out-of-range", "empty-geometry"],
+)
+def test_geometry_bound_error_is_one_short_line(capsys, bounds):
+    code, out, err = run_cli(capsys, "run", "--head", "5", "--requests", "1", *bounds)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert len(err.encode()) < 200 and "4000 characters" in err
+
+
 def test_run_input_with_utf8_bom(capsys, tmp_path):
     path = tmp_path / "reqs.txt"
     path.write_bytes(b"\xef\xbb\xbfhead 45\n25 10 151\n")
@@ -241,3 +282,123 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("ODSA,195,")
+
+
+# The CLI guarantee: exit 0 or 2 (verify may also exit 1), never a
+# traceback, and only finite numbers in the output of a successful run.
+_INTS = st.one_of(
+    st.integers(-5, 400).map(str),
+    st.sampled_from(["0", "180", "-0", "1_000", "x", "", "1.5", "9" * 400, str(2**70)]),
+)
+# Transfer constants: three draws in four are plausible, the rest edge cases.
+_SIZES = st.integers(0, 3).flatmap(
+    lambda k: st.integers(1, 10**6).map(str) if k else _INTS
+)
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["1e-320", "1e308", "0", "-1", "x", "nan", "inf", "120"]),
+)
+_QUEUES = st.lists(st.integers(0, 200), max_size=30)
+_REQUESTS = st.one_of(
+    _QUEUES.map(lambda q: ",".join(map(str, q))),
+    st.text(alphabet="0123456789,- x#\n\t", max_size=40),
+)
+_FILES = st.one_of(
+    st.binary(max_size=200),
+    st.tuples(st.integers(0, 200), _QUEUES).map(
+        lambda hq: f"head {hq[0]}\n{' '.join(map(str, hq[1]))}\n".encode()
+    ),
+)
+# Flags a run may add to its instance source, each drawn with probability 1/2.
+_RUN_FLAGS = {
+    "--bytes": _SIZES,
+    "--track-bytes": _SIZES,
+    "--rps": _FLOATS,
+    "--algo": st.sampled_from(["all", "fifo", "sstf", "scan", "cscan", "look", "odsa", "optimal"]),
+    "--format": st.sampled_from(["csv", "json"]),
+}
+# Flags that often contradict the instance source; at most one is added.
+_CONFLICTING_FLAGS = {
+    "--case": st.sampled_from(["1", "2", "3", "4", "x"]),
+    "--head": _INTS,
+    "--requests": _REQUESTS,
+    "--min-track": _INTS,
+    "--max-track": _INTS,
+}
+
+
+@st.composite
+def _argv(draw):
+    """argv for ``main`` and the bytes of an ``--input`` file (or None).
+    Most ``run`` draws start from a valid instance, so that exit 0 is common."""
+    command = draw(st.sampled_from(["run", "run", "gen", "verify"]))
+    if command == "gen":
+        argv = ["gen", "--count", draw(st.integers(-2, 1000).map(str))]
+        for flag, values in (("--seed", _INTS), ("--head", _INTS), ("--min-track", _INTS),
+                             ("--max-track", _INTS)):
+            if draw(st.booleans()):
+                argv += [flag, draw(values)]
+        return argv, None
+    if command == "verify":
+        argv = ["verify", "--trials", draw(st.integers(-1, 20).map(str))]
+        if draw(st.booleans()):
+            argv += ["--seed", draw(_INTS)]
+        argv += ["--max-n", draw(st.sampled_from(["0", "1", "8", "30", "x", "2001"]))]
+        return argv, None
+    argv, data = ["run"], None
+    source = draw(st.sampled_from(["case", "inline", "file", "none"]))
+    if source == "case":
+        argv += ["--case", draw(st.sampled_from(["1", "2", "3"]))]
+    elif source == "inline":
+        argv += ["--head", draw(st.integers(0, 180).map(str)), "--requests", draw(_REQUESTS)]
+    elif source == "file":
+        data = draw(_FILES)
+    for flag, values in _RUN_FLAGS.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    if draw(st.integers(0, 3)) == 0:
+        flag = draw(st.sampled_from(sorted(_CONFLICTING_FLAGS)))
+        argv += [flag, draw(_CONFLICTING_FLAGS[flag])]
+    argv += draw(st.sampled_from([[], [], ["--path"], ["--paper-table"], ["--path", "--paper-table"]]))
+    return argv, data
+
+
+def _numbers_are_finite(text):
+    """No token of ``text`` reads as nan or infinity; integers of any size
+    are finite."""
+    for token in re.split(r"[\s,;:\[\]{}\"=]+", text):
+        if re.fullmatch(r"-?\d+", token):
+            continue
+        try:
+            value = float(token)
+        except ValueError:
+            continue
+        if not math.isfinite(value):
+            return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+def test_cli_guarantee(drawn):
+    argv, data = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        if data is not None:
+            path = f"{tmp}/requests.txt"
+            with open(path, "wb") as f:
+                f.write(data)
+            argv = [*argv, "--input", path]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    event(f"{argv[0]} exit {code}")
+    allowed = {0, 1, 2} if argv[0] == "verify" else {0, 2}
+    assert code in allowed, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert _numbers_are_finite(out.getvalue()), out.getvalue()
+    else:
+        assert out.getvalue() == "" or argv[0] == "verify"

@@ -3,14 +3,18 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seeksim.model import SchedulingError, TransferModel, validate_instance
+from seeksim.metrics import display
+from seeksim.model import DiskGeometry, SchedulingError, TransferModel, validate_instance
 from seeksim.report import (
     ALGORITHM_ORDER,
     CampaignFailure,
     CampaignSummary,
     DIVERGENCE_NOTE,
     HeadPathSeries,
+    ORACLE_NAME,
     PUBLISHED_TABLES,
     emit,
     head_path_series,
@@ -18,7 +22,15 @@ from seeksim.report import (
     run_property_campaign,
     run_schedule,
 )
-from seeksim.schedulers import ORACLE_MAX_REQUESTS
+from seeksim.schedulers import (
+    ORACLE_MAX_REQUESTS,
+    brute_force_optimal,
+    schedule_cscan,
+    schedule_look,
+    schedule_odsa,
+    schedule_scan,
+    schedule_sstf,
+)
 from seeksim.workload import reference_case
 
 
@@ -227,3 +239,109 @@ def test_campaign_failure_carries_counterexample():
     with pytest.raises(CampaignFailure) as err:
         summary.raise_if_failed()
     assert err.value.summary.first_counterexample["queue"] == [1]
+
+
+EVERY_ALGORITHM = ALGORITHM_ORDER + (ORACLE_NAME,)
+
+
+def _csv_writer_text(rows):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def _reference_table_csv(report, include_published):
+    """The metric table rendered cell by cell through csv.writer."""
+    header = [
+        "algorithm", "total_seek", "average_seek", "transfer_time", "service_order",
+        "average_seek_display", "transfer_time_display",
+    ]
+    if include_published:
+        header += ["published_average_seek", "published_transfer_time", "note"]
+    rows = [header]
+    for row in report.rows:
+        cells = [
+            row.algorithm,
+            str(row.total_seek),
+            "" if row.average_seek is None else repr(row.average_seek),
+            "" if row.transfer_time is None else repr(row.transfer_time),
+            ";".join(str(t) for t in row.service_order),
+            display(row.average_seek),
+            display(row.transfer_time),
+        ]
+        if include_published:
+            published = PUBLISHED_TABLES[report.case_id].get(row.algorithm)
+            if published is None:
+                cells += ["", "", ""]
+            else:
+                diverges = row.average_seek is not None and float(published[0]) != row.average_seek
+                cells += [*published, DIVERGENCE_NOTE if diverges else ""]
+        rows.append(cells)
+    return _csv_writer_text(rows)
+
+
+def _reference_series_csv(series):
+    rows = [["algorithm", "step", "track"]]
+    for s in series:
+        rows += [[s.algorithm, str(step), str(track)] for step, track in s.points]
+    return _csv_writer_text(rows)
+
+
+@pytest.mark.parametrize("case_id", [1, 2, 3])
+@pytest.mark.parametrize("include_published", [False, True])
+def test_table_csv_matches_csv_writer(case_id, include_published):
+    report = run_comparison(case_instance(case_id), TransferModel(), EVERY_ALGORITHM, case_id)
+    text = emit(report, include_published=include_published)
+    assert text == _reference_table_csv(report, include_published)
+
+
+def test_series_csv_matches_csv_writer_on_cases():
+    for case_id in (1, 2, 3):
+        series = head_path_series(case_instance(case_id), EVERY_ALGORITHM)
+        assert emit(series) == _reference_series_csv(series)
+
+
+# Spans of 400 tracks give duplicates and ties; spans of 1e20 give float
+# reprs with exponents and long display strings.
+_instances = st.sampled_from([400, 10**20]).flatmap(
+    lambda top: st.tuples(
+        st.lists(st.integers(0, top), max_size=12), st.integers(0, top)
+    ).map(lambda qh: validate_instance(qh[0], qh[1], DiskGeometry(0, top)))
+)
+
+
+@settings(max_examples=150)
+@given(_instances)
+def test_csv_matches_csv_writer(instance):
+    report = run_comparison(instance, TransferModel(), EVERY_ALGORITHM)
+    assert emit(report) == _reference_table_csv(report, False)
+    series = head_path_series(instance, EVERY_ALGORITHM)
+    assert emit(series) == _reference_series_csv(series)
+
+
+@settings(max_examples=150)
+@given(_instances)
+def test_series_points_enumerate_the_head_path(instance):
+    for name in EVERY_ALGORITHM:
+        schedule = run_schedule(name, instance)
+        series = HeadPathSeries.from_schedule(schedule)
+        assert series.path == schedule.head_path()
+        assert series.points == tuple(enumerate(schedule.head_path()))
+
+
+_ON_QUEUE = {
+    "SSTF": lambda inst: schedule_sstf(inst.queue, inst.head),
+    "SCAN": lambda inst: schedule_scan(inst.queue, inst.head, inst.geometry),
+    "C-SCAN": lambda inst: schedule_cscan(inst.queue, inst.head, inst.geometry),
+    "LOOK": lambda inst: schedule_look(inst.queue, inst.head),
+    "ODSA": lambda inst: schedule_odsa(inst.queue, inst.head),
+    ORACLE_NAME: lambda inst: brute_force_optimal(inst.queue, inst.head),
+}
+
+
+@settings(max_examples=150)
+@given(_instances)
+def test_sorted_tracks_schedule_like_arrival_order(instance):
+    assert instance.tracks == tuple(sorted(instance.queue))
+    for name, on_queue in _ON_QUEUE.items():
+        assert run_schedule(name, instance) == on_queue(instance)

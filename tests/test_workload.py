@@ -1,5 +1,7 @@
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seeksim.model import DiskGeometry
@@ -8,6 +10,7 @@ from seeksim.workload import (
     ParseError,
     UnknownCaseError,
     WorkloadSpec,
+    _parse_track,
     generate,
     parse_requests,
     reference_case,
@@ -32,6 +35,12 @@ def test_case2_and_case3_heads():
 def test_unknown_case_rejected(bad):
     with pytest.raises(UnknownCaseError):
         reference_case(bad)
+
+
+def test_unknown_case_error_is_short():
+    with pytest.raises(UnknownCaseError) as err:
+        reference_case(int("7" * 4000))
+    assert len(str(err.value)) < 100 and "4000 characters" in str(err.value)
 
 
 def test_workload_spec_rejects_zero_count():
@@ -135,3 +144,70 @@ def test_parse_render_round_trip(tracks, head_pos):
     parsed_queue, parsed_head = parse_requests(render_requests(queue, head_pos))
     assert parsed_queue == queue
     assert parsed_head == head_pos
+
+
+def _reference_parse_requests(text):
+    """The token-by-token regex parser that parse_requests replaced with a
+    bulk split per line; the reference for its values and its errors."""
+    tracks = []
+    head = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        if re.match(r"^head\b", line.strip()):
+            if head is not None:
+                raise ParseError("duplicate head directive", lineno, 1)
+            if tracks:
+                raise ParseError("head directive must precede all requests", lineno, 1)
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError("expected 'head <int>'", lineno, 1)
+            head = _parse_track(parts[1], lineno, line.index(parts[1]) + 1)
+            continue
+        for match in re.finditer(r"[^,\s]+", line):
+            tracks.append(_parse_track(match.group(), lineno, match.start() + 1))
+    return tuple(tracks), head
+
+
+_TOKENS = st.one_of(
+    st.integers(-50, 10**6).map(str),
+    st.sampled_from(
+        ["-0", "+7", "1_000", "1__0", "_1", "007", "4.5", "x", "12a", "-", "\u0663", "7" * 30]
+    ),
+)
+_SEPARATORS = st.sampled_from(
+    [",", " ", ", ", ",,", "\t", "\u00a0", "\u2003", "\u3000", "\x0b", "\x1c", "\u200b"]
+)
+_DIRECTIVES = st.sampled_from(
+    ["head 5", "  head\t7", "head -1", "head x", "head", "head 5 6", "header 3", "head,5"]
+)
+
+
+@st.composite
+def _request_lines(draw):
+    tokens = draw(st.lists(_TOKENS, max_size=6))
+    line = draw(_SEPARATORS) if draw(st.booleans()) else ""
+    for token in tokens:
+        line += token + draw(_SEPARATORS)
+    if draw(st.booleans()):
+        line += "# " + draw(st.sampled_from(["junk, -1", "head 9", "x"]))
+    return line
+
+
+_REQUEST_TEXT = st.lists(st.one_of(_request_lines(), _DIRECTIVES), max_size=6).flatmap(
+    lambda lines: st.sampled_from(["\n", "\r\n", "\u2028"]).map(lambda eol: eol.join(lines))
+)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return type(exc), exc.line, exc.column, str(exc)
+
+
+@settings(max_examples=400)
+@given(_REQUEST_TEXT)
+def test_parse_matches_regex_reference(text):
+    assert _outcome(parse_requests, text) == _outcome(_reference_parse_requests, text)
