@@ -12,7 +12,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 Track = int
 
@@ -137,7 +138,8 @@ class Schedule:
     (sweep end points, wrap landings) that cost seek distance without
     completing a request. Everything else is derived from them.
     ``step_seeks`` has one entry per path segment, so
-    ``sum(step_seeks) == total_seek`` and unserviced stops count too.
+    ``sum(step_seeks) == total_seek`` and unserviced stops count too; it is
+    computed on first access and then cached.
     """
 
     algorithm: str
@@ -146,19 +148,22 @@ class Schedule:
     idle: tuple[int, ...] = ()
     service_order: tuple[Track, ...] = field(init=False)
     preliminary_moves: tuple[Track, ...] = field(init=False)
-    step_seeks: tuple[int, ...] = field(init=False)
     total_seek: int = field(init=False)
 
     def __post_init__(self):
-        path = self.head_path()
-        seeks = tuple(map(abs, map(operator.sub, path[1:], path)))
         service = self.stops
         for i in reversed(self.idle):
             service = service[:i] + service[i + 1 :]
         object.__setattr__(self, "service_order", service)
         object.__setattr__(self, "preliminary_moves", tuple(self.stops[i] for i in self.idle))
-        object.__setattr__(self, "step_seeks", seeks)
-        object.__setattr__(self, "total_seek", sum(seeks))
+        object.__setattr__(self, "total_seek", sum(self._seeks()))
+
+    def _seeks(self) -> Iterator[int]:
+        return map(abs, map(operator.sub, self.stops, chain((self.start,), self.stops)))
+
+    @cached_property
+    def step_seeks(self) -> tuple[int, ...]:
+        return tuple(self._seeks())
 
     def head_path(self) -> tuple[Track, ...]:
         """All head positions in order, starting at the initial position."""

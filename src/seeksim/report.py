@@ -195,6 +195,9 @@ def _published_cells(report: ComparisonReport, row: MetricRow) -> tuple[str, str
 # The CSV emitters join cells directly: no cell can hold a comma, a quote or
 # a newline (algorithm names, ints, float reprs, display strings, the
 # published values and DIVERGENCE_NOTE), so csv.writer would quote nothing.
+# All four emitters render each bulk int column with one C-level ``%`` call
+# on a template of "%s" slots, not one str() call per int. "%s" is exactly
+# str(), and ``%`` needs a tuple, as it treats a list as one argument.
 def _comparison_csv(report: ComparisonReport, include_published: bool) -> str:
     header = [
         "algorithm",
@@ -214,7 +217,7 @@ def _comparison_csv(report: ComparisonReport, include_published: bool) -> str:
             str(row.total_seek),
             "" if row.average_seek is None else repr(row.average_seek),
             "" if row.transfer_time is None else repr(row.transfer_time),
-            ";".join(map(str, row.service_order)),
+            ("%s;" * len(row.service_order) % tuple(row.service_order))[:-1],
             display(row.average_seek),
             display(row.transfer_time),
         ]
@@ -233,7 +236,7 @@ def _comparison_json(report: ComparisonReport, include_published: bool) -> str:
             "total_seek": row.total_seek,
             "average_seek": row.average_seek,
             "transfer_time": row.transfer_time,
-            "service_order": list(row.service_order),
+            "service_order": row.service_order,
             "average_seek_display": display(row.average_seek),
             "transfer_time_display": display(row.transfer_time),
         }
@@ -246,7 +249,7 @@ def _comparison_json(report: ComparisonReport, include_published: bool) -> str:
     doc = {
         "instance": {
             "head": inst.head,
-            "queue": list(inst.queue),
+            "queue": inst.queue,
             "geometry": {"min_track": inst.geometry.min_track, "max_track": inst.geometry.max_track},
             "model": {
                 "bytes_to_transfer": model.bytes_to_transfer,
@@ -257,27 +260,81 @@ def _comparison_json(report: ComparisonReport, include_published: bool) -> str:
         },
         "rows": rows,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json(doc)
 
 
 def _series_csv(series: Sequence[HeadPathSeries]) -> str:
-    # Every series shares the step column, so each step is formatted once.
-    steps = [f",{i}," for i in range(max((len(s.path) for s in series), default=0))]
+    # Every series shares the step column: one line template per step.
+    lines = [f",{i},%s\n" for i in range(max((len(s.path) for s in series), default=0))]
     parts = ["algorithm,step,track\n"]
     for s in series:
-        name = s.algorithm
-        parts.append("".join([f"{name}{step}{t}\n" for step, t in zip(steps, s.path)]))
+        if s.path:
+            name = s.algorithm.replace("%", "%%")
+            parts.append((name + name.join(lines[: len(s.path)])) % tuple(s.path))
     return "".join(parts)
 
 
 def _series_json(series: Sequence[HeadPathSeries]) -> str:
-    doc = {
-        "series": [
-            {"algorithm": s.algorithm, "points": [[i, t] for i, t in enumerate(s.path)]}
-            for s in series
-        ]
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    # One template per step for the [step, track] pairs, at the depth where
+    # json.dumps(indent=2) puts them.
+    steps = [
+        f"[\n          {i},\n          %s\n        ]"
+        for i in range(max((len(s.path) for s in series), default=0))
+    ]
+    entries = []
+    for s in series:
+        if s.path and _plain_ints(s.path):
+            template = "[\n        " + ",\n        ".join(steps[: len(s.path)]) + "\n      ]"
+            points = _Json(template % tuple(s.path))
+        else:
+            points = [[i, t] for i, t in enumerate(s.path)]
+        entries.append({"algorithm": s.algorithm, "points": points})
+    return _json({"series": entries})
+
+
+class _Json(str):
+    """Text that ``_json`` inserts as already rendered."""
+
+
+def _plain_ints(values: Sequence) -> bool:
+    # bool is an int subclass that json renders as true/false, not str().
+    return set(map(type, values)) <= {int}
+
+
+def _json(doc) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"`` for the dicts, lists, tuples and
+    scalars the emitters build. Every scalar goes through json.dumps, so
+    escapes and float reprs match; a non-empty list of plain ints is laid
+    out with one ``%`` call. The parts are joined once, at the end."""
+    out: list[str] = []
+    _render(doc, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _render(value, depth: int, out: list[str]) -> None:
+    pad = "\n" + "  " * (depth + 1)
+    if isinstance(value, _Json):
+        out.append(value)
+    elif not isinstance(value, (dict, list, tuple)) or not value:
+        out.append(json.dumps(value))
+    elif isinstance(value, dict):
+        sep = "{" + pad
+        for key, item in value.items():
+            out += (sep, json.dumps(key), ": ")
+            _render(item, depth + 1, out)
+            sep = "," + pad
+        out.append(pad[:-2] + "}")
+    elif _plain_ints(value):
+        template = "[" + pad + ("%s," + pad) * (len(value) - 1) + "%s" + pad[:-2] + "]"
+        out.append(template % tuple(value))
+    else:
+        sep = "[" + pad
+        for item in value:
+            out.append(sep)
+            _render(item, depth + 1, out)
+            sep = "," + pad
+        out.append(pad[:-2] + "]")
 
 
 def emit(

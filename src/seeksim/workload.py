@@ -93,7 +93,10 @@ def parse_requests(text: str) -> tuple[tuple[int, ...], int | None]:
     """
     tracks: list[int] = []
     head: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    bulk_tried = False
+    end = 0
+    for lineno, raw in enumerate(text.splitlines(keepends=True), start=1):
+        start, end = end, end + len(raw)
         line = raw.split("#", 1)[0]
         stripped = line.strip()
         if not stripped:
@@ -108,8 +111,24 @@ def parse_requests(text: str) -> tuple[tuple[int, ...], int | None]:
                 raise ParseError("expected 'head <int>'", lineno, 1)
             head = _parse_track(parts[1], lineno, line.index(parts[1]) + 1)
             continue
-        # str.split() and the regex's \s split on the same whitespace. A line
-        # that fails is rescanned token by token to report the first bad one.
+        # str.split() and the regex's \s split on the same whitespace, and
+        # every line boundary is whitespace to both. So from the first
+        # request on, a text without comments is one split; a head line
+        # there fails int(), and so would a comment, which is why a text
+        # with one skips the attempt. On any failure the lines are parsed
+        # one by one.
+        if not bulk_tried:
+            bulk_tried = True
+            rest = text[start:]
+            if "#" not in rest:
+                try:
+                    values = tuple(map(int, rest.replace(",", " ").split()))
+                except ValueError:
+                    values = None
+                if values is not None and (not values or min(values) >= 0):
+                    return values, head
+        # A line that fails is rescanned token by token to report the first
+        # bad one.
         try:
             values = [int(tok) for tok in line.replace(",", " ").split()]
         except ValueError:

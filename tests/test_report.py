@@ -3,7 +3,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seeksim.metrics import display
@@ -312,6 +312,8 @@ _instances = st.sampled_from([400, 10**20]).flatmap(
 
 @settings(max_examples=150)
 @given(_instances)
+@example(validate_instance((), 5, DiskGeometry(0, 400)))
+@example(validate_instance((), 10**19, DiskGeometry(0, 10**20)))
 def test_csv_matches_csv_writer(instance):
     report = run_comparison(instance, TransferModel(), EVERY_ALGORITHM)
     assert emit(report) == _reference_table_csv(report, False)
@@ -345,3 +347,119 @@ def test_sorted_tracks_schedule_like_arrival_order(instance):
     assert instance.tracks == tuple(sorted(instance.queue))
     for name, on_queue in _ON_QUEUE.items():
         assert run_schedule(name, instance) == on_queue(instance)
+
+
+def _reference_json(doc):
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _reference_table_json(report, include_published):
+    """The metric table as one document through json.dumps(indent=2)."""
+    inst, model = report.instance, report.model
+    rows = []
+    for row in report.rows:
+        entry = {
+            "algorithm": row.algorithm,
+            "total_seek": row.total_seek,
+            "average_seek": row.average_seek,
+            "transfer_time": row.transfer_time,
+            "service_order": list(row.service_order),
+            "average_seek_display": display(row.average_seek),
+            "transfer_time_display": display(row.transfer_time),
+        }
+        if include_published:
+            published = PUBLISHED_TABLES[report.case_id].get(row.algorithm, ("", ""))
+            diverges = (
+                published[0] != "" and row.average_seek is not None
+                and float(published[0]) != row.average_seek
+            )
+            entry["published_average_seek"], entry["published_transfer_time"] = published
+            entry["note"] = DIVERGENCE_NOTE if diverges else ""
+        rows.append(entry)
+    geometry = {"min_track": inst.geometry.min_track, "max_track": inst.geometry.max_track}
+    return _reference_json({
+        "instance": {
+            "head": inst.head,
+            "queue": list(inst.queue),
+            "geometry": geometry,
+            "model": {
+                "bytes_to_transfer": model.bytes_to_transfer,
+                "bytes_per_track": model.bytes_per_track,
+                "rotation_speed": model.rotation_speed,
+            },
+            "case": report.case_id,
+        },
+        "rows": rows,
+    })
+
+
+def _reference_series_json(series):
+    return _reference_json({
+        "series": [
+            {"algorithm": s.algorithm, "points": [[i, t] for i, t in enumerate(s.path)]}
+            for s in series
+        ]
+    })
+
+
+@st.composite
+def _json_reports(draw):
+    """A report on a random instance, any subset of the seven algorithms, a
+    random rotation speed, and a case id so --paper-table applies. Spans go
+    up to 2**71, so tracks reach past 2**70 and averages past 1e20."""
+    top = draw(st.sampled_from([400, 10**20, 2**71]))
+    queue = draw(st.lists(st.integers(0, top), max_size=12))
+    instance = validate_instance(queue, draw(st.integers(0, top)), DiskGeometry(0, top))
+    model = TransferModel(rotation_speed=draw(st.floats(1e-3, 1e6)))
+    algorithms = draw(st.sets(st.sampled_from(EVERY_ALGORITHM)))
+    case_id = draw(st.sampled_from([None, 1, 2, 3]))
+    include_published = case_id is not None and draw(st.booleans())
+    return run_comparison(instance, model, algorithms, case_id), include_published
+
+
+@settings(max_examples=150)
+@given(_json_reports())
+@example((run_comparison(validate_instance((), 5), TransferModel(), EVERY_ALGORITHM), False))
+@example((case_report(1, EVERY_ALGORITHM), True))
+@example((run_comparison(validate_instance((), 5), TransferModel(), None, 2), True))
+def test_table_json_matches_json_dumps(drawn):
+    report, include_published = drawn
+    text = emit(report, "json", include_published=include_published)
+    assert text == _reference_table_json(report, include_published)
+
+
+_named_series = st.lists(
+    st.builds(
+        HeadPathSeries,
+        st.text(max_size=6),
+        st.lists(st.integers(0, 2**71), max_size=4).map(tuple),
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=150)
+@given(st.one_of(_instances.map(lambda inst: head_path_series(inst, EVERY_ALGORITHM)), _named_series))
+@example([])
+@example([HeadPathSeries("ODSA", ())])
+@example([HeadPathSeries("ODSA", (5,))])
+@example([HeadPathSeries("a%b", (2**70, 0)), HeadPathSeries('"\\\u00e9%s', (7,))])
+@example([HeadPathSeries("ODSA", (True, 1.5, 2))])
+def test_series_json_matches_json_dumps(series):
+    assert emit(series, "json") == _reference_series_json(series)
+
+
+@given(
+    st.lists(
+        st.builds(
+            HeadPathSeries,
+            st.text(alphabet="ab%s-", min_size=1, max_size=6),
+            st.lists(st.integers(0, 2**71), max_size=4).map(tuple),
+        ),
+        max_size=4,
+    )
+)
+@example([HeadPathSeries("ODSA", ()), HeadPathSeries("FIFO", (3,))])
+@example([HeadPathSeries("a%b", (4, 5)), HeadPathSeries("%s%%", (6,))])
+def test_series_csv_matches_csv_writer_on_any_path(series):
+    assert emit(series) == _reference_series_csv(series)

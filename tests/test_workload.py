@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seeksim.model import DiskGeometry
@@ -207,7 +207,24 @@ def _outcome(parse, text):
         return type(exc), exc.line, exc.column, str(exc)
 
 
+# The benchmark's request-file layout: a comment line, a head line, then ten
+# comma-separated tracks per line.
+_BULK_LINES = [", ".join(str(7 * i + j) for j in range(10)) for i in range(0, 40, 10)]
+_BULK_TEXT = "# 40 seeded uniform requests\nhead 90\n" + "\n".join(_BULK_LINES) + "\n"
+
+
 @settings(max_examples=400)
 @given(_REQUEST_TEXT)
+@example(_BULK_TEXT)
+@example(_BULK_TEXT.replace("\n", "\r\n"))
+@example(_BULK_TEXT + "# trailing comment\n")
+@example("head 5\n1, 2\n3 # first comment after the body starts\n4\n")
+@example("1, 2\nhead 5\n3\n")
+@example("head 5\n1, 2\nhead 6\n")
+@example("# c\nhead 5\n1, 2\n3, 4\n5, -6, 7\n")
+@example("# c\nhead 5\n1, 2\n3, 4\n5, x7, 7\n")
+@example("# c\nhead 5\n1, 2\n3, 4\n5, " + "7" * 5000 + "\n")
+@example("# c\nhead 5\n, ,\n,\n \t\n")
+@example(",\n1\n")
 def test_parse_matches_regex_reference(text):
     assert _outcome(parse_requests, text) == _outcome(_reference_parse_requests, text)
