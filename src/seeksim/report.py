@@ -236,7 +236,7 @@ def _comparison_json(report: ComparisonReport, include_published: bool) -> str:
             "total_seek": row.total_seek,
             "average_seek": row.average_seek,
             "transfer_time": row.transfer_time,
-            "service_order": row.service_order,
+            "service_order": _IntList.of(row.service_order),
             "average_seek_display": display(row.average_seek),
             "transfer_time_display": display(row.transfer_time),
         }
@@ -249,7 +249,7 @@ def _comparison_json(report: ComparisonReport, include_published: bool) -> str:
     doc = {
         "instance": {
             "head": inst.head,
-            "queue": inst.queue,
+            "queue": _IntList.of(inst.queue),
             "geometry": {"min_track": inst.geometry.min_track, "max_track": inst.geometry.max_track},
             "model": {
                 "bytes_to_transfer": model.bytes_to_transfer,
@@ -260,7 +260,7 @@ def _comparison_json(report: ComparisonReport, include_published: bool) -> str:
         },
         "rows": rows,
     }
-    return _json(doc)
+    return _dumps(doc)
 
 
 def _series_csv(series: Sequence[HeadPathSeries]) -> str:
@@ -275,66 +275,59 @@ def _series_csv(series: Sequence[HeadPathSeries]) -> str:
 
 
 def _series_json(series: Sequence[HeadPathSeries]) -> str:
-    # One template per step for the [step, track] pairs, at the depth where
-    # json.dumps(indent=2) puts them.
-    steps = [
-        f"[\n          {i},\n          %s\n        ]"
-        for i in range(max((len(s.path) for s in series), default=0))
-    ]
-    entries = []
-    for s in series:
-        if s.path and _plain_ints(s.path):
-            template = "[\n        " + ",\n        ".join(steps[: len(s.path)]) + "\n      ]"
-            points = _Json(template % tuple(s.path))
+    entries = [{"algorithm": s.algorithm, "points": _IntList.of(s.path, pairs=True)} for s in series]
+    return _dumps({"series": entries})
+
+
+class _IntList:
+    """A list of plain ints, or its ``[[step, int], ...]`` pairs, that
+    ``_dumps`` lays out itself with one ``%`` call."""
+
+    def __init__(self, values: tuple, pairs: bool):
+        self.values, self.pairs = values, pairs
+
+    @staticmethod
+    def of(values: Sequence, pairs: bool = False):
+        # bool is an int subclass that json renders as true/false, not str(),
+        # so an empty list or one with anything but plain ints stays a list.
+        if values and set(map(type, values)) <= {int}:
+            return _IntList(tuple(values), pairs)
+        return [[i, t] for i, t in enumerate(values)] if pairs else list(values)
+
+
+def _dumps(doc) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"``. json.dumps renders the doc with
+    a marker string in place of each ``_IntList``; each list then takes the
+    indent of its marker's line, so json.dumps alone decides the layout."""
+    marker, lists = "\x00", []
+
+    def slot(o):
+        if not isinstance(o, _IntList):
+            return json.JSONEncoder().default(o)  # raises TypeError like json.dumps
+        lists.append(o)
+        return marker
+
+    while True:
+        lists.clear()
+        parts = json.dumps(doc, indent=2, default=slot).split(json.dumps(marker))
+        if len(parts) == len(lists) + 1:
+            break
+        marker += "\x00"  # a string in the doc equals the marker
+    out, steps = [parts[0]], {}
+    for ints, after in zip(lists, parts[1:]):
+        line = out[-1][out[-1].rfind("\n") + 1 :]
+        close = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        item, n = close + "  ", len(ints.values)
+        if ints.pairs:
+            # Pair templates are shared by every list at the same indent.
+            if len(steps.get(item, ())) < n:
+                steps[item] = [f"[{item}  {i},{item}  %s{item}]" for i in range(n)]
+            body = ("," + item).join(steps[item][:n])
         else:
-            points = [[i, t] for i, t in enumerate(s.path)]
-        entries.append({"algorithm": s.algorithm, "points": points})
-    return _json({"series": entries})
-
-
-class _Json(str):
-    """Text that ``_json`` inserts as already rendered."""
-
-
-def _plain_ints(values: Sequence) -> bool:
-    # bool is an int subclass that json renders as true/false, not str().
-    return set(map(type, values)) <= {int}
-
-
-def _json(doc) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"`` for the dicts, lists, tuples and
-    scalars the emitters build. Every scalar goes through json.dumps, so
-    escapes and float reprs match; a non-empty list of plain ints is laid
-    out with one ``%`` call. The parts are joined once, at the end."""
-    out: list[str] = []
-    _render(doc, 0, out)
+            body = ("%s," + item) * (n - 1) + "%s"
+        out += ("[" + item + body + close + "]") % ints.values, after
     out.append("\n")
     return "".join(out)
-
-
-def _render(value, depth: int, out: list[str]) -> None:
-    pad = "\n" + "  " * (depth + 1)
-    if isinstance(value, _Json):
-        out.append(value)
-    elif not isinstance(value, (dict, list, tuple)) or not value:
-        out.append(json.dumps(value))
-    elif isinstance(value, dict):
-        sep = "{" + pad
-        for key, item in value.items():
-            out += (sep, json.dumps(key), ": ")
-            _render(item, depth + 1, out)
-            sep = "," + pad
-        out.append(pad[:-2] + "}")
-    elif _plain_ints(value):
-        template = "[" + pad + ("%s," + pad) * (len(value) - 1) + "%s" + pad[:-2] + "]"
-        out.append(template % tuple(value))
-    else:
-        sep = "[" + pad
-        for item in value:
-            out.append(sep)
-            _render(item, depth + 1, out)
-            sep = "," + pad
-        out.append(pad[:-2] + "]")
 
 
 def emit(

@@ -116,7 +116,7 @@ def parse_requests(text: str) -> tuple[tuple[int, ...], int | None]:
         # request on, a text without comments is one split; a head line
         # there fails int(), and so would a comment, which is why a text
         # with one skips the attempt. On any failure the lines are parsed
-        # one by one.
+        # one by one, token by token, so the first bad token is reported.
         if not bulk_tried:
             bulk_tried = True
             rest = text[start:]
@@ -127,15 +127,7 @@ def parse_requests(text: str) -> tuple[tuple[int, ...], int | None]:
                     values = None
                 if values is not None and (not values or min(values) >= 0):
                     return values, head
-        # A line that fails is rescanned token by token to report the first
-        # bad one.
-        try:
-            values = [int(tok) for tok in line.replace(",", " ").split()]
-        except ValueError:
-            values = None
-        if values is None or (values and min(values) < 0):
-            values = [_parse_track(m.group(), lineno, m.start() + 1) for m in _TOKEN.finditer(line)]
-        tracks.extend(values)
+        tracks.extend(_parse_track(m.group(), lineno, m.start() + 1) for m in _TOKEN.finditer(line))
     return tuple(tracks), head
 
 

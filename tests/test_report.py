@@ -445,6 +445,7 @@ _named_series = st.lists(
 @example([HeadPathSeries("ODSA", (5,))])
 @example([HeadPathSeries("a%b", (2**70, 0)), HeadPathSeries('"\\\u00e9%s', (7,))])
 @example([HeadPathSeries("ODSA", (True, 1.5, 2))])
+@example([HeadPathSeries("\x00", (1, 2)), HeadPathSeries("\x00\x00", (3,))])
 def test_series_json_matches_json_dumps(series):
     assert emit(series, "json") == _reference_series_json(series)
 
