@@ -10,10 +10,8 @@ rather than converted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from decimal import ROUND_DOWN, Context, Decimal
 
-from .model import Schedule, SchedulingError, TransferModel, rotational_overhead
+from .model import Schedule, SchedulingError, TransferModel, _Frozen, rotational_overhead
 
 
 class EmptyScheduleError(SchedulingError):
@@ -44,16 +42,20 @@ def transfer_time(avg_seek: float, model: TransferModel) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class MetricRow:
+class MetricRow(_Frozen):
     """One comparison-table line. average_seek/transfer_time are None for an
     empty queue, where the average is undefined."""
 
-    algorithm: str
-    total_seek: int
-    average_seek: float | None
-    transfer_time: float | None
-    service_order: tuple[int, ...]
+    _fields = ("algorithm", "total_seek", "average_seek", "transfer_time", "service_order")
+
+    def __init__(
+        self, algorithm: str, total_seek: int, average_seek: float | None,
+        transfer_time: float | None, service_order: tuple[int, ...],
+    ):
+        self.__dict__.update(
+            algorithm=algorithm, total_seek=total_seek, average_seek=average_seek,
+            transfer_time=transfer_time, service_order=service_order,
+        )
 
 
 def display(value: float | None, places: int = 5) -> str:
@@ -65,6 +67,7 @@ def display(value: float | None, places: int = 5) -> str:
     """
     if value is None:
         return ""
+    from decimal import ROUND_DOWN, Context, Decimal  # slow to import; only tables need it
     exact = Decimal(repr(value))
     # Enough significant digits for every integer digit of a large value.
     context = Context(prec=max(exact.adjusted(), 0) + 1 + places)

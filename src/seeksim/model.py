@@ -2,15 +2,14 @@
 instances and schedules.
 
 Queues are tuples of int tracks in arrival order and heads are plain int
-tracks. All types are frozen dataclasses holding ints and tuples, so instances
-are immutable and safe to share across threads or processes.
+tracks. All types are immutable classes compared by field, not dataclasses,
+so instances are safe to share across threads or processes.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import Iterator, Sequence
@@ -19,17 +18,6 @@ Track = int
 
 DEFAULT_MIN_TRACK = 0
 DEFAULT_MAX_TRACK = 180
-
-# Reference disk used for the bundled benchmark cases. Only the three transfer
-# constants below (bytes_to_transfer, bytes_per_track, rotation_speed) enter
-# any computation; the rest is descriptive metadata.
-REFERENCE_DISK_INFO = {
-    "capacity_gigabytes": 400,
-    "sectors_per_track": 63,
-    "sector_size_bytes": 512,
-    "cylinders": 16383,
-    "total_sectors": 781422768,
-}
 
 DEFAULT_BYTES_TO_TRANSFER = 30000
 DEFAULT_BYTES_PER_TRACK = 32256
@@ -76,19 +64,45 @@ class InvalidModelError(SchedulingError):
     """Transfer-model constant is not finite and strictly positive."""
 
 
-@dataclass(frozen=True)
-class DiskGeometry:
+class _Frozen:
+    """Base of the value types: a subclass names its ``_fields`` and sets them
+    once through ``__dict__``. Instances refuse assignment, compare and hash by
+    field within one class, and print like frozen dataclasses."""
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class DiskGeometry(_Frozen):
     """Inclusive track bounds of the modeled disk."""
 
-    min_track: Track = DEFAULT_MIN_TRACK
-    max_track: Track = DEFAULT_MAX_TRACK
+    _fields = ("min_track", "max_track")
 
-    def __post_init__(self):
-        if self.min_track >= self.max_track:
+    def __init__(self, min_track: Track = DEFAULT_MIN_TRACK, max_track: Track = DEFAULT_MAX_TRACK):
+        if min_track >= max_track:
             raise EmptyGeometryError(
-                f"min_track ({_echo(str(self.min_track))}) must be "
-                f"< max_track ({_echo(str(self.max_track))})"
+                f"min_track ({_echo(str(min_track))}) must be "
+                f"< max_track ({_echo(str(max_track))})"
             )
+        self.__dict__.update(min_track=min_track, max_track=max_track)
 
     @property
     def width(self) -> int:
@@ -98,21 +112,23 @@ class DiskGeometry:
         return self.min_track <= track <= self.max_track
 
 
-@dataclass(frozen=True)
-class TransferModel:
+class TransferModel(_Frozen):
     """Constants of the transfer-time formula
     ``transfer = average_seek + 1/(2R) + B/(R*N)``.
 
     B = bytes_to_transfer, N = bytes_per_track, R = rotation_speed (rev/s).
     """
 
-    bytes_to_transfer: int = DEFAULT_BYTES_TO_TRANSFER
-    bytes_per_track: int = DEFAULT_BYTES_PER_TRACK
-    rotation_speed: float = DEFAULT_ROTATION_SPEED
+    _fields = ("bytes_to_transfer", "bytes_per_track", "rotation_speed")
 
-    def __post_init__(self):
-        for name in ("bytes_to_transfer", "bytes_per_track", "rotation_speed"):
-            value = getattr(self, name)
+    def __init__(self, bytes_to_transfer: int = DEFAULT_BYTES_TO_TRANSFER,
+                 bytes_per_track: int = DEFAULT_BYTES_PER_TRACK,
+                 rotation_speed: float = DEFAULT_ROTATION_SPEED):
+        self.__dict__.update(
+            bytes_to_transfer=bytes_to_transfer, bytes_per_track=bytes_per_track,
+            rotation_speed=rotation_speed,
+        )
+        for name, value in zip(self._fields, self._values()):
             if not 0 < value < math.inf:
                 raise InvalidModelError(f"{name} must be finite and positive, got {value}")
         try:
@@ -129,8 +145,7 @@ def rotational_overhead(model: TransferModel) -> float:
     return 1.0 / (2.0 * r) + model.bytes_to_transfer / (r * model.bytes_per_track)
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(_Frozen):
     """Result of running one algorithm on one instance.
 
     ``stops`` is the full head itinerary after ``start`` and ``idle`` holds
@@ -142,41 +157,41 @@ class Schedule:
     computed on first access and then cached.
     """
 
-    algorithm: str
-    start: Track
-    stops: tuple[Track, ...]
-    idle: tuple[int, ...] = ()
-    service_order: tuple[Track, ...] = field(init=False)
-    preliminary_moves: tuple[Track, ...] = field(init=False)
-    total_seek: int = field(init=False)
+    _fields = ("algorithm", "start", "stops", "idle", "service_order", "preliminary_moves",
+               "total_seek")
 
-    def __post_init__(self):
-        service = self.stops
-        for i in reversed(self.idle):
+    def __init__(
+        self, algorithm: str, start: Track, stops: tuple[Track, ...], idle: tuple[int, ...] = ()
+    ):
+        service = stops
+        for i in reversed(idle):
             service = service[:i] + service[i + 1 :]
-        object.__setattr__(self, "service_order", service)
-        object.__setattr__(self, "preliminary_moves", tuple(self.stops[i] for i in self.idle))
-        object.__setattr__(self, "total_seek", sum(self._seeks()))
+        self.__dict__.update(
+            algorithm=algorithm, start=start, stops=stops, idle=idle, service_order=service,
+            preliminary_moves=tuple(stops[i] for i in idle),
+            total_seek=sum(self._seeks(start, stops)),
+        )
 
-    def _seeks(self) -> Iterator[int]:
-        return map(abs, map(operator.sub, self.stops, chain((self.start,), self.stops)))
+    @staticmethod
+    def _seeks(start: Track, stops: tuple[Track, ...]) -> Iterator[int]:
+        return map(abs, map(operator.sub, stops, chain((start,), stops)))
 
     @cached_property
     def step_seeks(self) -> tuple[int, ...]:
-        return tuple(self._seeks())
+        return tuple(self._seeks(self.start, self.stops))
 
     def head_path(self) -> tuple[Track, ...]:
         """All head positions in order, starting at the initial position."""
         return (self.start,) + self.stops
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Frozen):
     """A validated (queue, head, geometry) triple."""
 
-    queue: tuple[Track, ...]
-    head: Track
-    geometry: DiskGeometry
+    _fields = ("queue", "head", "geometry")
+
+    def __init__(self, queue: tuple[Track, ...], head: Track, geometry: DiskGeometry):
+        self.__dict__.update(queue=queue, head=head, geometry=geometry)
 
     @cached_property
     def tracks(self) -> tuple[Track, ...]:

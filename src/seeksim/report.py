@@ -8,9 +8,7 @@ so identical inputs give byte-identical text.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .metrics import MetricRow, average_seek, display, transfer_time
@@ -20,6 +18,7 @@ from .model import (
     Schedule,
     SchedulingError,
     TransferModel,
+    _Frozen,
     validate_instance,
 )
 from .schedulers import (
@@ -93,24 +92,24 @@ def run_schedule(name: str, instance: Instance) -> Schedule:
     return builder(instance)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(_Frozen):
     """Per-algorithm metric rows for one instance, in canonical order."""
 
-    instance: Instance
-    model: TransferModel
-    rows: tuple[MetricRow, ...]
-    case_id: int | None = None
+    _fields = ("instance", "model", "rows", "case_id")
 
-    def __post_init__(self):
-        by_name = {row.algorithm: row for row in self.rows}
+    def __init__(
+        self, instance: Instance, model: TransferModel, rows: tuple[MetricRow, ...],
+        case_id: int | None = None,
+    ):
+        by_name = {row.algorithm: row for row in rows}
         odsa = by_name.get("ODSA")
         if odsa is not None:
-            worse = [r.algorithm for r in self.rows if r.total_seek < odsa.total_seek]
+            worse = [r.algorithm for r in rows if r.total_seek < odsa.total_seek]
             if worse:
                 raise SchedulingError(
                     f"ODSA total {odsa.total_seek} beaten by {', '.join(worse)}"
                 )
+        self.__dict__.update(instance=instance, model=model, rows=rows, case_id=case_id)
 
     def row(self, algorithm: str) -> MetricRow:
         for r in self.rows:
@@ -119,19 +118,15 @@ class ComparisonReport:
         raise KeyError(algorithm)
 
 
-@dataclass(frozen=True)
-class HeadPathSeries:
+class HeadPathSeries(_Frozen):
     """The full head path of one schedule, preliminary stops included;
     ``path[0]`` is the initial head position and ``path[i]`` the track at
     step ``i``."""
 
-    algorithm: str
-    path: tuple[int, ...]
+    _fields = ("algorithm", "path")
 
-    @property
-    def points(self) -> tuple[tuple[int, int], ...]:
-        """The path as (step, track) pairs."""
-        return tuple(enumerate(self.path))
+    def __init__(self, algorithm: str, path: tuple[int, ...]):
+        self.__dict__.update(algorithm=algorithm, path=path)
 
     @classmethod
     def from_schedule(cls, schedule: Schedule) -> "HeadPathSeries":
@@ -192,12 +187,23 @@ def _published_cells(report: ComparisonReport, row: MetricRow) -> tuple[str, str
     return pub_avg, pub_transfer, note
 
 
-# The CSV emitters join cells directly: no cell can hold a comma, a quote or
-# a newline (algorithm names, ints, float reprs, display strings, the
-# published values and DIVERGENCE_NOTE), so csv.writer would quote nothing.
-# All four emitters render each bulk int column with one C-level ``%`` call
-# on a template of "%s" slots, not one str() call per int. "%s" is exactly
-# str(), and ``%`` needs a tuple, as it treats a list as one argument.
+# The CSV emitters join cells directly: only an algorithm name can hold a
+# comma, a quote or a line break (ints, float reprs, display strings, the
+# published values and DIVERGENCE_NOTE cannot), so only it goes through
+# _csv_cell. All four emitters render each bulk int column with one C-level
+# ``%`` call on a template of "%s" slots, not one str() call per int. "%s" is
+# exactly str(), and ``%`` needs a tuple, as it treats a list as one argument.
+def _csv_cell(text: str) -> str:
+    """``text`` as a cell of csv.writer(lineterminator="\\n"); plain names skip it."""
+    if not any(c in text for c in ',"\r\n'):
+        return text
+    import csv
+    import io
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow((text, ""))
+    return out.getvalue()[:-2]
+
+
 def _comparison_csv(report: ComparisonReport, include_published: bool) -> str:
     header = [
         "algorithm",
@@ -213,7 +219,7 @@ def _comparison_csv(report: ComparisonReport, include_published: bool) -> str:
     lines = [",".join(header)]
     for row in report.rows:
         cells = [
-            row.algorithm,
+            _csv_cell(row.algorithm),
             str(row.total_seek),
             "" if row.average_seek is None else repr(row.average_seek),
             "" if row.transfer_time is None else repr(row.transfer_time),
@@ -269,7 +275,7 @@ def _series_csv(series: Sequence[HeadPathSeries]) -> str:
     parts = ["algorithm,step,track\n"]
     for s in series:
         if s.path:
-            name = s.algorithm.replace("%", "%%")
+            name = _csv_cell(s.algorithm).replace("%", "%%")
             parts.append((name + name.join(lines[: len(s.path)])) % tuple(s.path))
     return "".join(parts)
 
@@ -299,6 +305,7 @@ def _dumps(doc) -> str:
     """``json.dumps(doc, indent=2) + "\\n"``. json.dumps renders the doc with
     a marker string in place of each ``_IntList``; each list then takes the
     indent of its marker's line, so json.dumps alone decides the layout."""
+    import json  # slow to import; only JSON output needs it
     marker, lists = "\x00", []
 
     def slot(o):
@@ -367,17 +374,21 @@ class CampaignFailure(Exception):
         )
 
 
-@dataclass(frozen=True)
-class CampaignSummary:
+class CampaignSummary(_Frozen):
     """Outcome of a randomized verification campaign."""
 
-    trials: int
-    seed: int
-    max_n: int
-    passes: int
-    failures: int
-    check_failures: dict[str, int] = field(default_factory=dict)
-    first_counterexample: dict | None = None
+    _fields = ("trials", "seed", "max_n", "passes", "failures", "check_failures",
+               "first_counterexample")
+
+    def __init__(
+        self, trials: int, seed: int, max_n: int, passes: int, failures: int,
+        check_failures: dict[str, int] | None = None, first_counterexample: dict | None = None,
+    ):
+        self.__dict__.update(
+            trials=trials, seed=seed, max_n=max_n, passes=passes, failures=failures,
+            check_failures={} if check_failures is None else check_failures,
+            first_counterexample=first_counterexample,
+        )
 
     def raise_if_failed(self) -> None:
         if self.failures:

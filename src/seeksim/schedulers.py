@@ -20,10 +20,9 @@ where they keep total_seek invariant under reflection of the whole instance
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .model import DiskGeometry, Schedule, SchedulingError, Track
+from .model import DiskGeometry, Schedule, SchedulingError, Track, _Frozen
 
 ORACLE_MAX_REQUESTS = 2000
 
@@ -33,16 +32,19 @@ class QueueTooLargeError(SchedulingError):
     O(n^2) time and memory would grow past a few seconds and megabytes."""
 
 
-@dataclass(frozen=True)
-class OdsaPlan:
+class OdsaPlan(_Frozen):
     """Sweep plan for the single-sweep scheduler: the extreme requested
     tracks, the cost of jumping to the nearer one, and which end the sweep
     starts from."""
 
-    lowest: Track
-    highest: Track
-    initial_seek: int
-    start_end: Literal["low", "high"]
+    _fields = ("lowest", "highest", "initial_seek", "start_end")
+
+    def __init__(
+        self, lowest: Track, highest: Track, initial_seek: int, start_end: Literal["low", "high"]
+    ):
+        self.__dict__.update(
+            lowest=lowest, highest=highest, initial_seek=initial_seek, start_end=start_end
+        )
 
 
 def _served(algorithm: str, start: Track, order: Sequence[Track]) -> Schedule:

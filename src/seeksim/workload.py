@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
 from typing import Sequence
 
-from .model import DiskGeometry, SchedulingError, _echo
+from .model import DiskGeometry, SchedulingError, _echo, _Frozen
 
 
 class UnknownCaseError(SchedulingError):
@@ -56,20 +55,19 @@ def reference_case(case_id: int) -> tuple[tuple[int, ...], int, DiskGeometry]:
     return tracks, head, DiskGeometry()
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(_Frozen):
     """Parameters for a reproducible random workload. Tracks are drawn
     uniformly over the geometry, inclusive of both bounds."""
 
-    count: int
-    geometry: DiskGeometry = field(default_factory=DiskGeometry)
-    seed: int = 0
+    _fields = ("count", "geometry", "seed")
 
-    def __post_init__(self):
-        if self.count < 1:
-            raise SchedulingError(f"count must be >= 1, got {self.count}")
-        if not 0 <= self.seed < 2**64:
+    # One default geometry serves every spec: it is immutable.
+    def __init__(self, count: int, geometry: DiskGeometry = DiskGeometry(), seed: int = 0):
+        if count < 1:
+            raise SchedulingError(f"count must be >= 1, got {count}")
+        if not 0 <= seed < 2**64:
             raise SchedulingError("seed must fit in 64 unsigned bits")
+        self.__dict__.update(count=count, geometry=geometry, seed=seed)
 
 
 def generate(spec: WorkloadSpec) -> tuple[int, ...]:

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seeksim.metrics import display
+from seeksim.metrics import MetricRow, display
 from seeksim.model import DiskGeometry, SchedulingError, TransferModel, validate_instance
 from seeksim.report import (
     ALGORITHM_ORDER,
     CampaignFailure,
     CampaignSummary,
+    ComparisonReport,
     DIVERGENCE_NOTE,
     HeadPathSeries,
     ORACLE_NAME,
@@ -150,8 +151,8 @@ def test_emit_rejects_unknown_format():
 
 def test_head_path_series_odsa_case1():
     series = head_path_series(case_instance(1), ["ODSA"])[0]
-    assert series.points[:3] == ((0, 45), (1, 10), (2, 25))
-    assert series.points[-1] == (8, 170)
+    assert tuple(enumerate(series.path))[:3] == ((0, 45), (1, 10), (2, 25))
+    assert tuple(enumerate(series.path))[-1] == (8, 170)
 
 
 def test_head_path_distances_sum_to_total_seek():
@@ -159,7 +160,7 @@ def test_head_path_distances_sum_to_total_seek():
     for name in ALGORITHM_ORDER:
         schedule = run_schedule(name, inst)
         series = HeadPathSeries.from_schedule(schedule)
-        tracks = [t for _, t in series.points]
+        tracks = list(series.path)
         assert tracks[0] == 45
         assert sum(abs(b - a) for a, b in zip(tracks, tracks[1:])) == schedule.total_seek
 
@@ -283,7 +284,7 @@ def _reference_table_csv(report, include_published):
 def _reference_series_csv(series):
     rows = [["algorithm", "step", "track"]]
     for s in series:
-        rows += [[s.algorithm, str(step), str(track)] for step, track in s.points]
+        rows += [[s.algorithm, str(step), str(track)] for step, track in enumerate(s.path)]
     return _csv_writer_text(rows)
 
 
@@ -328,7 +329,8 @@ def test_series_points_enumerate_the_head_path(instance):
         schedule = run_schedule(name, instance)
         series = HeadPathSeries.from_schedule(schedule)
         assert series.path == schedule.head_path()
-        assert series.points == tuple(enumerate(schedule.head_path()))
+        doc = json.loads(emit([series], "json"))
+        assert doc["series"][0]["points"] == [[i, t] for i, t in enumerate(schedule.head_path())]
 
 
 _ON_QUEUE = {
@@ -463,4 +465,29 @@ def test_series_json_matches_json_dumps(series):
 @example([HeadPathSeries("ODSA", ()), HeadPathSeries("FIFO", (3,))])
 @example([HeadPathSeries("a%b", (4, 5)), HeadPathSeries("%s%%", (6,))])
 def test_series_csv_matches_csv_writer_on_any_path(series):
+    assert emit(series) == _reference_series_csv(series)
+
+
+# Any algorithm name, with the characters csv.writer quotes drawn often. ODSA
+# is left out: a renamed row named ODSA could trip the dominance guard.
+_csv_names = st.one_of(st.text(max_size=8), st.text(alphabet=',"\r\n%s a', max_size=8)).filter(
+    lambda name: name != "ODSA"
+)
+
+
+@settings(max_examples=150)
+@given(st.lists(_csv_names, min_size=1, max_size=7), st.booleans())
+@example(["a,b"], False)
+@example(['say "hi"', "x\ny", "\r", "", "LOOK", "%s,"], True)
+def test_csv_quotes_any_algorithm_name_like_csv_writer(names, include_published):
+    base = case_report(1, EVERY_ALGORITHM)
+    rows = tuple(
+        MetricRow(name, r.total_seek, r.average_seek, r.transfer_time, r.service_order)
+        for name, r in zip(names, base.rows)
+    )
+    report = ComparisonReport(base.instance, base.model, rows, 1)
+    assert emit(report, include_published=include_published) == _reference_table_csv(
+        report, include_published
+    )
+    series = [HeadPathSeries(name, (45, 10, 25)[: i + 1]) for i, name in enumerate(names)]
     assert emit(series) == _reference_series_csv(series)

@@ -1,0 +1,247 @@
+"""The contract of the ten value types: field order in repr, equality and
+hashing by field, immutability, constructor checks and cached properties.
+
+The pinned reprs are the ones the frozen-dataclass versions of these types
+printed, so any code that logs or compares them sees the same text.
+"""
+
+import copy
+import inspect
+import pickle
+
+import pytest
+
+from seeksim import model
+from seeksim.metrics import MetricRow
+from seeksim.model import (
+    DiskGeometry,
+    EmptyGeometryError,
+    Instance,
+    InvalidModelError,
+    Schedule,
+    SchedulingError,
+    TransferModel,
+    validate_instance,
+)
+from seeksim.report import CampaignSummary, ComparisonReport, HeadPathSeries
+from seeksim.schedulers import OdsaPlan, schedule_scan
+from seeksim.workload import WorkloadSpec
+
+CASE_INSTANCE = Instance((25, 10, 151), 45, DiskGeometry())
+ROW = MetricRow("ODSA", 176, 58.666666666666664, 58.67858383, (25, 10, 151))
+
+# (type, constructor args, a field, another value for it, pinned repr)
+CASES = [
+    (DiskGeometry, (0, 199), "max_track", 200, "DiskGeometry(min_track=0, max_track=199)"),
+    (
+        TransferModel, (4096, 8192, 90.5), "rotation_speed", 91.0,
+        "TransferModel(bytes_to_transfer=4096, bytes_per_track=8192, rotation_speed=90.5)",
+    ),
+    (
+        Schedule, ("SCAN", 45, (25, 10, 0, 151), (2,)), "start", 46,
+        "Schedule(algorithm='SCAN', start=45, stops=(25, 10, 0, 151), idle=(2,), "
+        "service_order=(25, 10, 151), preliminary_moves=(0,), total_seek=196)",
+    ),
+    (
+        Instance, ((25, 10, 151), 45, DiskGeometry()), "head", 44,
+        "Instance(queue=(25, 10, 151), head=45, "
+        "geometry=DiskGeometry(min_track=0, max_track=180))",
+    ),
+    (
+        MetricRow, ("ODSA", 176, 58.666666666666664, 58.67858383, (25, 10, 151)), "total_seek", 177,
+        "MetricRow(algorithm='ODSA', total_seek=176, average_seek=58.666666666666664, "
+        "transfer_time=58.67858383, service_order=(25, 10, 151))",
+    ),
+    (
+        ComparisonReport, (CASE_INSTANCE, TransferModel(), (ROW,), 1), "case_id", None,
+        "ComparisonReport(instance=Instance(queue=(25, 10, 151), head=45, "
+        "geometry=DiskGeometry(min_track=0, max_track=180)), "
+        "model=TransferModel(bytes_to_transfer=30000, bytes_per_track=32256, "
+        "rotation_speed=120.0), rows=(MetricRow(algorithm='ODSA', total_seek=176, "
+        "average_seek=58.666666666666664, transfer_time=58.67858383, "
+        "service_order=(25, 10, 151)),), case_id=1)",
+    ),
+    (
+        HeadPathSeries, ("a,b", (45, 10, 25)), "path", (45, 10),
+        "HeadPathSeries(algorithm='a,b', path=(45, 10, 25))",
+    ),
+    (
+        CampaignSummary,
+        (10, 3, 8, 9, 1, {"dominance:SSTF": 1}, {"queue": [1, 2], "head": 0, "checks": ["x"]}),
+        "passes", 8,
+        "CampaignSummary(trials=10, seed=3, max_n=8, passes=9, failures=1, "
+        "check_failures={'dominance:SSTF': 1}, "
+        "first_counterexample={'queue': [1, 2], 'head': 0, 'checks': ['x']})",
+    ),
+    (
+        OdsaPlan, (10, 151, 35, "low"), "start_end", "high",
+        "OdsaPlan(lowest=10, highest=151, initial_seek=35, start_end='low')",
+    ),
+    (
+        WorkloadSpec, (5, DiskGeometry(10, 20), 7), "seed", 8,
+        "WorkloadSpec(count=5, geometry=DiskGeometry(min_track=10, max_track=20), seed=7)",
+    ),
+]
+IDS = [case[0].__name__ for case in CASES]
+
+
+# The fields of each type, in repr order; Schedule's last three are derived.
+FIELDS = {
+    DiskGeometry: ("min_track", "max_track"),
+    TransferModel: ("bytes_to_transfer", "bytes_per_track", "rotation_speed"),
+    Schedule: (
+        "algorithm", "start", "stops", "idle", "service_order", "preliminary_moves", "total_seek",
+    ),
+    Instance: ("queue", "head", "geometry"),
+    MetricRow: ("algorithm", "total_seek", "average_seek", "transfer_time", "service_order"),
+    ComparisonReport: ("instance", "model", "rows", "case_id"),
+    HeadPathSeries: ("algorithm", "path"),
+    CampaignSummary: (
+        "trials", "seed", "max_n", "passes", "failures", "check_failures", "first_counterexample",
+    ),
+    OdsaPlan: ("lowest", "highest", "initial_seek", "start_end"),
+    WorkloadSpec: ("count", "geometry", "seed"),
+}
+
+
+def _with(cls, args, field, value):
+    """``cls(*args)`` with the constructor argument named ``field`` replaced."""
+    names = inspect.signature(cls).parameters
+    return cls(*(value if name == field else arg for name, arg in zip(names, args)))
+
+
+@pytest.mark.parametrize("cls,args,field,other,text", CASES, ids=IDS)
+def test_repr_is_pinned(cls, args, field, other, text):
+    obj = cls(*args)
+    assert repr(obj) == text
+    shown = ", ".join(f"{name}={getattr(obj, name)!r}" for name in FIELDS[cls])
+    assert text == f"{cls.__name__}({shown})"
+
+
+def test_defaults_print_like_before():
+    assert repr(WorkloadSpec(3)) == (
+        "WorkloadSpec(count=3, geometry=DiskGeometry(min_track=0, max_track=180), seed=0)"
+    )
+    assert repr(CampaignSummary(1, 0, 8, 1, 0)) == (
+        "CampaignSummary(trials=1, seed=0, max_n=8, passes=1, failures=0, "
+        "check_failures={}, first_counterexample=None)"
+    )
+    assert repr(Schedule("ODSA", 5, ())) == (
+        "Schedule(algorithm='ODSA', start=5, stops=(), idle=(), service_order=(), "
+        "preliminary_moves=(), total_seek=0)"
+    )
+
+
+@pytest.mark.parametrize("cls,args,field,other,text", CASES, ids=IDS)
+def test_equal_fields_compare_and_hash_equal(cls, args, field, other, text):
+    a, b = cls(*args), cls(*copy.deepcopy(args))
+    assert a == b and not a != b
+    if cls is CampaignSummary:
+        # It holds dicts, so like the dataclass it was it cannot be hashed.
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("cls,args,field,other,text", CASES, ids=IDS)
+def test_a_differing_field_compares_unequal(cls, args, field, other, text):
+    a, b = cls(*args), _with(cls, args, field, other)
+    assert getattr(b, field) == other
+    assert a != b and not a == b
+
+
+@pytest.mark.parametrize("cls,args,field,other,text", CASES, ids=IDS)
+def test_other_types_with_equal_fields_compare_unequal(cls, args, field, other, text):
+    a = cls(*args)
+    twin = type("Twin", (cls,), {})(*args)
+    assert repr(twin).startswith("Twin(") and repr(twin)[4:] == repr(a)[len(cls.__name__):]
+    assert a != twin and twin != a
+    assert a != tuple(getattr(a, name) for name in FIELDS[cls])
+    others = [c(*a_) for c, a_, *_ in CASES if c is not cls]
+    assert all(a != o for o in others)
+
+
+@pytest.mark.parametrize("cls,args,field,other,text", CASES, ids=IDS)
+def test_fields_cannot_be_assigned_or_deleted(cls, args, field, other, text):
+    obj = cls(*args)
+    for name in (*FIELDS[cls], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, other)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert repr(obj) == text
+
+
+@pytest.mark.parametrize("cls,args,field,other,text", CASES, ids=IDS)
+def test_values_survive_pickle_and_copy(cls, args, field, other, text):
+    obj = cls(*args)
+    for clone in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+        assert clone == obj and repr(clone) == text
+
+
+@pytest.mark.parametrize(
+    "make,error,message",
+    [
+        (lambda: DiskGeometry(5, 5), EmptyGeometryError,
+         "min_track ('5') must be < max_track ('5')"),
+        (lambda: DiskGeometry(max_track=-1), EmptyGeometryError,
+         "min_track ('0') must be < max_track ('-1')"),
+        (lambda: TransferModel(bytes_to_transfer=0), InvalidModelError,
+         "bytes_to_transfer must be finite and positive, got 0"),
+        (lambda: TransferModel(rotation_speed=float("nan")), InvalidModelError,
+         "rotation_speed must be finite and positive, got nan"),
+        (lambda: TransferModel(rotation_speed=1e-320), InvalidModelError,
+         "rotational overhead 1/(2R) + B/(R*N) overflows a float"),
+        (lambda: WorkloadSpec(0), SchedulingError, "count must be >= 1, got 0"),
+        (lambda: WorkloadSpec(1, seed=-1), SchedulingError, "seed must fit in 64 unsigned bits"),
+        (lambda: WorkloadSpec(1, seed=2**64), SchedulingError, "seed must fit in 64 unsigned bits"),
+        (lambda: ComparisonReport(CASE_INSTANCE, TransferModel(),
+                                  (ROW, MetricRow("FIFO", 175, None, None, ()))),
+         SchedulingError, "ODSA total 176 beaten by FIFO"),
+    ],
+)
+def test_constructor_errors_keep_class_and_message(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_keyword_construction_and_defaults():
+    assert DiskGeometry(max_track=9) == DiskGeometry(0, 9)
+    assert TransferModel(rotation_speed=60.0) == TransferModel(30000, 32256, 60.0)
+    assert WorkloadSpec(count=4, seed=2) == WorkloadSpec(4, DiskGeometry(), 2)
+    assert ComparisonReport(CASE_INSTANCE, TransferModel(), (ROW,)).case_id is None
+    assert Schedule("FIFO", 1, (2,)).idle == ()
+
+
+def test_campaign_summary_gets_a_new_dict_each_time():
+    a, b = CampaignSummary(1, 0, 8, 1, 0), CampaignSummary(1, 0, 8, 1, 0)
+    assert a.check_failures == {} and b.check_failures == {}
+    assert a.check_failures is not b.check_failures
+    a.check_failures["x"] = 1
+    assert b.check_failures == {} and CampaignSummary(1, 0, 8, 1, 0).check_failures == {}
+
+
+def test_step_seeks_is_computed_once(monkeypatch):
+    schedule = schedule_scan((25, 10, 151), 45, DiskGeometry())
+    calls = []
+    seeks = Schedule._seeks
+    monkeypatch.setattr(Schedule, "_seeks", staticmethod(lambda *a: calls.append(1) or seeks(*a)))
+    first = schedule.step_seeks
+    assert first == (20, 15, 10, 151) and sum(first) == schedule.total_seek
+    assert schedule.step_seeks is first and len(calls) == 1
+
+
+def test_tracks_are_sorted_once(monkeypatch):
+    instance = validate_instance((25, 10, 151, 10), 45)
+    calls = []
+    monkeypatch.setattr(model, "sorted", lambda q: calls.append(1) or sorted(q), raising=False)
+    first = instance.tracks
+    assert first == (10, 10, 25, 151)
+    assert instance.tracks is first and len(calls) == 1
+    # The cached value is not a field: equality and repr ignore it.
+    assert instance == validate_instance((25, 10, 151, 10), 45)
+    assert "tracks" not in repr(instance)
