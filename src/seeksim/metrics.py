@@ -22,9 +22,9 @@ class MetricOverflowError(SchedulingError):
     """A metric is too large to be represented as a float."""
 
 
-def average_seek(schedule: Schedule, count: int | None = None) -> float:
+def average_seek(schedule: Schedule) -> float:
     """Total seek divided by the number of requests."""
-    n = len(schedule.service_order) if count is None else count
+    n = len(schedule.service_order)
     if n < 1:
         raise EmptyScheduleError("average seek undefined for an empty schedule")
     try:

@@ -1,5 +1,5 @@
-"""Comparison reports, head-path series, text emitters, and the randomized
-verification campaign.
+"""Comparison reports, text emitters for reports and head paths, and the
+randomized verification campaign.
 
 CSV and JSON carry the same numbers: full-precision values plus 5-decimal
 display fields rendered like the reference tables. Output is deterministic,
@@ -101,14 +101,6 @@ class ComparisonReport(_Frozen):
         self, instance: Instance, model: TransferModel, rows: tuple[MetricRow, ...],
         case_id: int | None = None,
     ):
-        by_name = {row.algorithm: row for row in rows}
-        odsa = by_name.get("ODSA")
-        if odsa is not None:
-            worse = [r.algorithm for r in rows if r.total_seek < odsa.total_seek]
-            if worse:
-                raise SchedulingError(
-                    f"ODSA total {odsa.total_seek} beaten by {', '.join(worse)}"
-                )
         self.__dict__.update(instance=instance, model=model, rows=rows, case_id=case_id)
 
     def row(self, algorithm: str) -> MetricRow:
@@ -118,27 +110,11 @@ class ComparisonReport(_Frozen):
         raise KeyError(algorithm)
 
 
-class HeadPathSeries(_Frozen):
-    """The full head path of one schedule, preliminary stops included;
-    ``path[0]`` is the initial head position and ``path[i]`` the track at
-    step ``i``."""
-
-    _fields = ("algorithm", "path")
-
-    def __init__(self, algorithm: str, path: tuple[int, ...]):
-        self.__dict__.update(algorithm=algorithm, path=path)
-
-    @classmethod
-    def from_schedule(cls, schedule: Schedule) -> "HeadPathSeries":
-        return cls(schedule.algorithm, schedule.head_path())
-
-
 def _metric_row(name: str, instance: Instance, model: TransferModel) -> MetricRow:
     schedule = run_schedule(name, instance)
-    n = len(schedule.service_order)
-    if n == 0:
+    if not schedule.service_order:
         return MetricRow(name, schedule.total_seek, None, None, schedule.service_order)
-    avg = average_seek(schedule, n)
+    avg = average_seek(schedule)
     return MetricRow(name, schedule.total_seek, avg, transfer_time(avg, model), schedule.service_order)
 
 
@@ -169,11 +145,10 @@ def run_comparison(
 
 def head_path_series(
     instance: Instance, algorithms: Iterable[str] | None = None
-) -> tuple[HeadPathSeries, ...]:
-    return tuple(
-        HeadPathSeries.from_schedule(run_schedule(n, instance))
-        for n in _normalize_selection(algorithms)
-    )
+) -> tuple[Schedule, ...]:
+    """The schedules of the selected algorithms (default: all six), for
+    ``emit`` to render as head-path series."""
+    return tuple(run_schedule(n, instance) for n in _normalize_selection(algorithms))
 
 
 def _published_cells(report: ComparisonReport, row: MetricRow) -> tuple[str, str, str]:
@@ -269,19 +244,21 @@ def _comparison_json(report: ComparisonReport, include_published: bool) -> str:
     return _dumps(doc)
 
 
-def _series_csv(series: Sequence[HeadPathSeries]) -> str:
+def _series_csv(schedules: Sequence[Schedule]) -> str:
     # Every series shares the step column: one line template per step.
-    lines = [f",{i},%s\n" for i in range(max((len(s.path) for s in series), default=0))]
+    lines = [f",{i},%s\n" for i in range(max((len(s.stops) + 1 for s in schedules), default=0))]
     parts = ["algorithm,step,track\n"]
-    for s in series:
-        if s.path:
-            name = _csv_cell(s.algorithm).replace("%", "%%")
-            parts.append((name + name.join(lines[: len(s.path)])) % tuple(s.path))
+    for s in schedules:
+        name = _csv_cell(s.algorithm).replace("%", "%%")
+        parts.append((name + name.join(lines[: len(s.stops) + 1])) % s.head_path())
     return "".join(parts)
 
 
-def _series_json(series: Sequence[HeadPathSeries]) -> str:
-    entries = [{"algorithm": s.algorithm, "points": _IntList.of(s.path, pairs=True)} for s in series]
+def _series_json(schedules: Sequence[Schedule]) -> str:
+    entries = [
+        {"algorithm": s.algorithm, "points": _IntList.of(s.head_path(), pairs=True)}
+        for s in schedules
+    ]
     return _dumps({"series": entries})
 
 
@@ -338,11 +315,13 @@ def _dumps(doc) -> str:
 
 
 def emit(
-    report: ComparisonReport | Sequence[HeadPathSeries],
+    report: ComparisonReport | Sequence[Schedule],
     format: str = "csv",
     include_published: bool = False,
 ) -> str:
-    """Render a comparison report or head-path series as CSV or JSON text.
+    """Render a comparison report as a CSV or JSON table, or schedules as
+    their head paths: one ``[step, track]`` series per schedule, step 0 at
+    the start position and every stop after it, unserviced ones included.
 
     ``include_published`` appends the originally published table values and a
     divergence note; it requires a report built from a benchmark case.

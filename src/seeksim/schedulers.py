@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Literal, Sequence
 
-from .model import DiskGeometry, Schedule, SchedulingError, Track, _Frozen
+from .model import DiskGeometry, Schedule, SchedulingError, Track
 
 ORACLE_MAX_REQUESTS = 2000
 
@@ -32,28 +32,9 @@ class QueueTooLargeError(SchedulingError):
     O(n^2) time and memory would grow past a few seconds and megabytes."""
 
 
-class OdsaPlan(_Frozen):
-    """Sweep plan for the single-sweep scheduler: the extreme requested
-    tracks, the cost of jumping to the nearer one, and which end the sweep
-    starts from."""
-
-    _fields = ("lowest", "highest", "initial_seek", "start_end")
-
-    def __init__(
-        self, lowest: Track, highest: Track, initial_seek: int, start_end: Literal["low", "high"]
-    ):
-        self.__dict__.update(
-            lowest=lowest, highest=highest, initial_seek=initial_seek, start_end=start_end
-        )
-
-
-def _served(algorithm: str, start: Track, order: Sequence[Track]) -> Schedule:
-    return Schedule(algorithm, start, tuple(order))
-
-
 def schedule_fifo(queue: Sequence[Track], head: Track) -> Schedule:
     """Service requests in arrival order."""
-    return _served("FIFO", head, queue)
+    return Schedule("FIFO", head, tuple(queue))
 
 
 # A state of the SSTF walk over t = sorted(queue): (lo, hi, pos). The serviced
@@ -144,7 +125,7 @@ def schedule_sstf(queue: Sequence[Track], head: Track) -> Schedule:
     while True:
         _, tie = _walk(t, state, order)
         if tie is None:
-            return _served("SSTF", head, order)
+            return Schedule("SSTF", head, tuple(order))
         below, above = _tie_branches(t, tie)
         state = below if _finish_cost(t, below, memo) <= _finish_cost(t, above, memo) else above
         order.append(state[2])
@@ -183,7 +164,7 @@ def _sweep(
     lo, hi = bisect_left(tracks, head), bisect_right(tracks, head)
     below, above = tracks[:lo], tracks[hi:]
     if not below and not above:
-        return _served(name, head, tracks)
+        return Schedule(name, head, tuple(tracks))
     g = geometry if geometry is not None else DiskGeometry()
     if _sweep_direction(head, below, above) > 0:
         first, back, near, far = tracks[lo:], below[::-1], g.max_track, g.min_track
@@ -220,33 +201,20 @@ def schedule_look(queue: Sequence[Track], head: Track) -> Schedule:
     return _sweep("LOOK", queue, head, "request", None)
 
 
-def plan_odsa(queue: Sequence[Track], head: Track) -> OdsaPlan:
-    """Pick the sweep for the single-sweep scheduler: jump to whichever
-    extreme requested track is nearer the head (ties start from the low end)
-    and cross to the far extreme."""
-    if not queue:
-        raise SchedulingError("cannot plan a sweep for an empty queue")
-    lowest, highest = min(queue), max(queue)
-    to_low = abs(head - lowest)
-    to_high = abs(head - highest)
-    if to_low <= to_high:
-        return OdsaPlan(lowest, highest, to_low, "low")
-    return OdsaPlan(lowest, highest, to_high, "high")
-
-
 def schedule_odsa(queue: Sequence[Track], head: Track) -> Schedule:
     """Single monotone sweep: sort the queue, jump straight to the nearer
-    extreme (servicing only the request it lands on), then sweep across to
-    the far extreme servicing everything in passing.
+    extreme (servicing only the request it lands on; a tie starts from the
+    low end), then sweep across to the far extreme servicing everything in
+    passing.
 
     total_seek = min(|head-lowest|, |head-highest|) + (highest - lowest),
     which is the minimum possible for a static queue.
     """
     if not queue:
         return Schedule("ODSA", head, ())
-    plan = plan_odsa(queue, head)
-    order = sorted(queue, reverse=plan.start_end == "high")
-    return _served("ODSA", head, order)
+    lowest, highest = min(queue), max(queue)
+    order = sorted(queue, reverse=abs(head - lowest) > abs(head - highest))
+    return Schedule("ODSA", head, tuple(order))
 
 
 def brute_force_optimal(queue: Sequence[Track], head: Track) -> Schedule:
@@ -274,7 +242,7 @@ def brute_force_optimal(queue: Sequence[Track], head: Track) -> Schedule:
     t = sorted(queue)
     n = len(t)
     if not n:
-        return _served("OPTIMAL", head, ())
+        return Schedule("OPTIMAL", head, ())
     # Cost-to-go of the blocks of the current width, indexed by i, with the
     # head at the low end and at the high end; the full block costs nothing.
     at_low = at_high = [0]
@@ -308,4 +276,4 @@ def brute_force_optimal(queue: Sequence[Track], head: Track) -> Schedule:
         else:
             j, end = j + 1, 1
             order.append(t[j])
-    return _served("OPTIMAL", head, order)
+    return Schedule("OPTIMAL", head, tuple(order))

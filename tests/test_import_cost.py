@@ -1,6 +1,7 @@
-"""Import-time guard: loading seeksim, or running a command that prints no
+"""Import-time guards: loading seeksim, or running a command that prints no
 table, must not pull in the slow stdlib modules that value types, JSON output
-and table rendering once needed at import."""
+and table rendering once needed at import; and ``import seeksim`` exports
+exactly the public names pinned here, so any change to them is a test edit."""
 
 import os
 import subprocess
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import seeksim
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = {"dataclasses", "inspect", "json", "decimal"}
@@ -56,3 +59,28 @@ def test_table_output_loads_only_what_it_uses():
     run = "from seeksim.cli import main\nmain(['run', '--case', '1'{}])"
     assert "decimal" in _modules_added(run.format(""))
     assert "json" in _modules_added(run.format(", '--path', '--format', 'json'"))
+
+
+PUBLIC_NAMES = [
+    "ALGORITHM_ORDER", "BENCHMARK_CASES", "CampaignFailure", "CampaignSummary",
+    "ComparisonReport", "DiskGeometry", "EmptyGeometryError", "EmptyScheduleError", "Instance",
+    "InvalidModelError", "MetricOverflowError", "MetricRow", "NegativeTrackError",
+    "OutOfRangeError", "PUBLISHED_TABLES", "ParseError", "QueueTooLargeError", "Schedule",
+    "SchedulingError", "TransferModel", "UnknownCaseError", "WorkloadSpec", "average_seek",
+    "brute_force_optimal", "display", "emit", "generate", "head_path_series", "parse_requests",
+    "reference_case", "render_requests", "rotational_overhead", "run_comparison",
+    "run_property_campaign", "run_schedule", "schedule_cscan", "schedule_fifo", "schedule_look",
+    "schedule_odsa", "schedule_scan", "schedule_sstf", "transfer_time", "validate_instance",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(seeksim.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(seeksim, name) is not None
+
+
+@pytest.mark.parametrize("name", ["HeadPathSeries", "OdsaPlan", "plan_odsa"])
+def test_removed_names_stay_gone(name):
+    for module in (seeksim, seeksim.report, seeksim.schedulers):
+        assert not hasattr(module, name)

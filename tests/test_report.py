@@ -7,14 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seeksim.metrics import MetricRow, display
-from seeksim.model import DiskGeometry, SchedulingError, TransferModel, validate_instance
+from seeksim.model import DiskGeometry, Schedule, SchedulingError, TransferModel, validate_instance
 from seeksim.report import (
     ALGORITHM_ORDER,
     CampaignFailure,
     CampaignSummary,
     ComparisonReport,
     DIVERGENCE_NOTE,
-    HeadPathSeries,
     ORACLE_NAME,
     PUBLISHED_TABLES,
     emit,
@@ -151,16 +150,15 @@ def test_emit_rejects_unknown_format():
 
 def test_head_path_series_odsa_case1():
     series = head_path_series(case_instance(1), ["ODSA"])[0]
-    assert tuple(enumerate(series.path))[:3] == ((0, 45), (1, 10), (2, 25))
-    assert tuple(enumerate(series.path))[-1] == (8, 170)
+    assert tuple(enumerate(series.head_path()))[:3] == ((0, 45), (1, 10), (2, 25))
+    assert tuple(enumerate(series.head_path()))[-1] == (8, 170)
 
 
 def test_head_path_distances_sum_to_total_seek():
     inst = case_instance(1)
     for name in ALGORITHM_ORDER:
         schedule = run_schedule(name, inst)
-        series = HeadPathSeries.from_schedule(schedule)
-        tracks = list(series.path)
+        tracks = list(schedule.head_path())
         assert tracks[0] == 45
         assert sum(abs(b - a) for a, b in zip(tracks, tracks[1:])) == schedule.total_seek
 
@@ -284,7 +282,7 @@ def _reference_table_csv(report, include_published):
 def _reference_series_csv(series):
     rows = [["algorithm", "step", "track"]]
     for s in series:
-        rows += [[s.algorithm, str(step), str(track)] for step, track in enumerate(s.path)]
+        rows += [[s.algorithm, str(step), str(track)] for step, track in enumerate(s.head_path())]
     return _csv_writer_text(rows)
 
 
@@ -327,9 +325,8 @@ def test_csv_matches_csv_writer(instance):
 def test_series_points_enumerate_the_head_path(instance):
     for name in EVERY_ALGORITHM:
         schedule = run_schedule(name, instance)
-        series = HeadPathSeries.from_schedule(schedule)
-        assert series.path == schedule.head_path()
-        doc = json.loads(emit([series], "json"))
+        assert head_path_series(instance, [name]) == (schedule,)
+        doc = json.loads(emit([schedule], "json"))
         assert doc["series"][0]["points"] == [[i, t] for i, t in enumerate(schedule.head_path())]
 
 
@@ -398,7 +395,7 @@ def _reference_table_json(report, include_published):
 def _reference_series_json(series):
     return _reference_json({
         "series": [
-            {"algorithm": s.algorithm, "points": [[i, t] for i, t in enumerate(s.path)]}
+            {"algorithm": s.algorithm, "points": [[i, t] for i, t in enumerate(s.head_path())]}
             for s in series
         ]
     })
@@ -432,9 +429,10 @@ def test_table_json_matches_json_dumps(drawn):
 
 _named_series = st.lists(
     st.builds(
-        HeadPathSeries,
+        Schedule,
         st.text(max_size=6),
-        st.lists(st.integers(0, 2**71), max_size=4).map(tuple),
+        st.integers(0, 2**71),
+        st.lists(st.integers(0, 2**71), max_size=3).map(tuple),
     ),
     max_size=4,
 )
@@ -443,11 +441,10 @@ _named_series = st.lists(
 @settings(max_examples=150)
 @given(st.one_of(_instances.map(lambda inst: head_path_series(inst, EVERY_ALGORITHM)), _named_series))
 @example([])
-@example([HeadPathSeries("ODSA", ())])
-@example([HeadPathSeries("ODSA", (5,))])
-@example([HeadPathSeries("a%b", (2**70, 0)), HeadPathSeries('"\\\u00e9%s', (7,))])
-@example([HeadPathSeries("ODSA", (True, 1.5, 2))])
-@example([HeadPathSeries("\x00", (1, 2)), HeadPathSeries("\x00\x00", (3,))])
+@example([Schedule("ODSA", 5, ())])
+@example([Schedule("a%b", 2**70, (0,)), Schedule('"\\\u00e9%s', 7, ())])
+@example([Schedule("ODSA", True, (1.5, 2))])
+@example([Schedule("\x00", 1, (2,)), Schedule("\x00\x00", 3, ())])
 def test_series_json_matches_json_dumps(series):
     assert emit(series, "json") == _reference_series_json(series)
 
@@ -455,24 +452,22 @@ def test_series_json_matches_json_dumps(series):
 @given(
     st.lists(
         st.builds(
-            HeadPathSeries,
+            Schedule,
             st.text(alphabet="ab%s-", min_size=1, max_size=6),
-            st.lists(st.integers(0, 2**71), max_size=4).map(tuple),
+            st.integers(0, 2**71),
+            st.lists(st.integers(0, 2**71), max_size=3).map(tuple),
         ),
         max_size=4,
     )
 )
-@example([HeadPathSeries("ODSA", ()), HeadPathSeries("FIFO", (3,))])
-@example([HeadPathSeries("a%b", (4, 5)), HeadPathSeries("%s%%", (6,))])
+@example([Schedule("ODSA", 3, ()), Schedule("FIFO", 3, (4,))])
+@example([Schedule("a%b", 4, (5,)), Schedule("%s%%", 6, ())])
 def test_series_csv_matches_csv_writer_on_any_path(series):
     assert emit(series) == _reference_series_csv(series)
 
 
-# Any algorithm name, with the characters csv.writer quotes drawn often. ODSA
-# is left out: a renamed row named ODSA could trip the dominance guard.
-_csv_names = st.one_of(st.text(max_size=8), st.text(alphabet=',"\r\n%s a', max_size=8)).filter(
-    lambda name: name != "ODSA"
-)
+# Any algorithm name, with the characters csv.writer quotes drawn often.
+_csv_names = st.one_of(st.text(max_size=8), st.text(alphabet=',"\r\n%s a', max_size=8))
 
 
 @settings(max_examples=150)
@@ -489,5 +484,5 @@ def test_csv_quotes_any_algorithm_name_like_csv_writer(names, include_published)
     assert emit(report, include_published=include_published) == _reference_table_csv(
         report, include_published
     )
-    series = [HeadPathSeries(name, (45, 10, 25)[: i + 1]) for i, name in enumerate(names)]
+    series = [Schedule(name, 45, (10, 25)[:i]) for i, name in enumerate(names)]
     assert emit(series) == _reference_series_csv(series)

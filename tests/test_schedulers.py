@@ -17,7 +17,6 @@ from seeksim.schedulers import (
     ORACLE_MAX_REQUESTS,
     QueueTooLargeError,
     brute_force_optimal,
-    plan_odsa,
     schedule_cscan,
     schedule_fifo,
     schedule_look,
@@ -372,16 +371,15 @@ def test_odsa_head_outside_span():
 
 
 def test_odsa_plan_case1():
-    p = plan_odsa([25, 10, 151, 170, 62, 46, 74, 111], 45)
-    assert (p.lowest, p.highest) == (10, 170)
-    assert p.initial_seek == 35
-    assert p.start_end == "low"
+    s = schedule_odsa([25, 10, 151, 170, 62, 46, 74, 111], 45)
+    assert (s.service_order[0], s.service_order[-1]) == (10, 170)
+    assert s.step_seeks[0] == 35
 
 
 def test_odsa_plan_tie_prefers_low_end():
-    p = plan_odsa([16, 116], 66)
-    assert p.initial_seek == 50
-    assert p.start_end == "low"
+    s = schedule_odsa([16, 116], 66)
+    assert s.service_order == (16, 116)
+    assert s.step_seeks[0] == 50
 
 
 # ------------------------------------------------------ optimal-order oracle

@@ -1,4 +1,4 @@
-"""The contract of the ten value types: field order in repr, equality and
+"""The contract of the eight value types: field order in repr, equality and
 hashing by field, immutability, constructor checks and cached properties.
 
 The pinned reprs are the ones the frozen-dataclass versions of these types
@@ -23,8 +23,8 @@ from seeksim.model import (
     TransferModel,
     validate_instance,
 )
-from seeksim.report import CampaignSummary, ComparisonReport, HeadPathSeries
-from seeksim.schedulers import OdsaPlan, schedule_scan
+from seeksim.report import CampaignSummary, ComparisonReport
+from seeksim.schedulers import schedule_scan
 from seeksim.workload import WorkloadSpec
 
 CASE_INSTANCE = Instance((25, 10, 151), 45, DiskGeometry())
@@ -62,20 +62,12 @@ CASES = [
         "service_order=(25, 10, 151)),), case_id=1)",
     ),
     (
-        HeadPathSeries, ("a,b", (45, 10, 25)), "path", (45, 10),
-        "HeadPathSeries(algorithm='a,b', path=(45, 10, 25))",
-    ),
-    (
         CampaignSummary,
         (10, 3, 8, 9, 1, {"dominance:SSTF": 1}, {"queue": [1, 2], "head": 0, "checks": ["x"]}),
         "passes", 8,
         "CampaignSummary(trials=10, seed=3, max_n=8, passes=9, failures=1, "
         "check_failures={'dominance:SSTF': 1}, "
         "first_counterexample={'queue': [1, 2], 'head': 0, 'checks': ['x']})",
-    ),
-    (
-        OdsaPlan, (10, 151, 35, "low"), "start_end", "high",
-        "OdsaPlan(lowest=10, highest=151, initial_seek=35, start_end='low')",
     ),
     (
         WorkloadSpec, (5, DiskGeometry(10, 20), 7), "seed", 8,
@@ -95,11 +87,9 @@ FIELDS = {
     Instance: ("queue", "head", "geometry"),
     MetricRow: ("algorithm", "total_seek", "average_seek", "transfer_time", "service_order"),
     ComparisonReport: ("instance", "model", "rows", "case_id"),
-    HeadPathSeries: ("algorithm", "path"),
     CampaignSummary: (
         "trials", "seed", "max_n", "passes", "failures", "check_failures", "first_counterexample",
     ),
-    OdsaPlan: ("lowest", "highest", "initial_seek", "start_end"),
     WorkloadSpec: ("count", "geometry", "seed"),
 }
 
@@ -197,9 +187,6 @@ def test_values_survive_pickle_and_copy(cls, args, field, other, text):
         (lambda: WorkloadSpec(0), SchedulingError, "count must be >= 1, got 0"),
         (lambda: WorkloadSpec(1, seed=-1), SchedulingError, "seed must fit in 64 unsigned bits"),
         (lambda: WorkloadSpec(1, seed=2**64), SchedulingError, "seed must fit in 64 unsigned bits"),
-        (lambda: ComparisonReport(CASE_INSTANCE, TransferModel(),
-                                  (ROW, MetricRow("FIFO", 175, None, None, ()))),
-         SchedulingError, "ODSA total 176 beaten by FIFO"),
     ],
 )
 def test_constructor_errors_keep_class_and_message(make, error, message):
