@@ -48,6 +48,12 @@ def _walk(t: list[Track], state: _State, order: list[Track] | None) -> tuple[int
     """Take SSTF's forced steps from ``state``, appending each serviced track
     to ``order`` when one is given.
 
+    Each jump serves a run with one bisect: if d_lo < d_hi, every pending
+    track above pos - d_hi stays strictly nearer than t[hi], so t[k..lo] go
+    down in turn (a step up is the mirror image). The farther distance at a
+    jump, at least 1 and at most the span of tracks and head, doubles within
+    two jumps, so a walk makes at most 2·log2(span) + 2 jumps.
+
     Returns the seek cost of the steps taken and the state at the first
     exact equidistant tie, or None as the state once every request is
     serviced (after one side empties, the other is taken in one run).
@@ -58,13 +64,17 @@ def _walk(t: list[Track], state: _State, order: list[Track] | None) -> tuple[int
     while lo >= 0 and hi < n:
         d_lo, d_hi = pos - t[lo], t[hi] - pos
         if d_lo < d_hi:
-            cost, pos, lo = cost + d_lo, t[lo], lo - 1
+            k = bisect_right(t, pos - d_hi, 0, lo)
+            if order is not None:
+                order += t[k : lo + 1][::-1]
+            cost, pos, lo = cost + pos - t[k], t[k], k - 1
         elif d_hi < d_lo:
-            cost, pos, hi = cost + d_hi, t[hi], hi + 1
+            k = bisect_left(t, pos + d_lo, hi + 1, n) - 1
+            if order is not None:
+                order += t[hi : k + 1]
+            cost, pos, hi = cost + t[k] - pos, t[k], k + 1
         else:
             return cost, (lo, hi, pos)
-        if order is not None:
-            order.append(pos)
     if order is not None:
         order.extend(reversed(t[: lo + 1]))
         order.extend(t[hi:])
@@ -88,7 +98,7 @@ def _finish_cost(t: list[Track], state: _State, memo: dict[_State, int]) -> int:
     Nested ties are resolved with an explicit stack instead of recursion: a
     state whose walk stops at a tie waits until both branches are priced.
     ``memo`` caches every priced state across calls, so the lookahead prices
-    at most O(n^2) distinct states, each with one walk.
+    at most O(n^2) distinct states, each with one O(log span)-jump walk.
     """
     stack = [] if state in memo else [(state, *_walk(t, state, None))]
     while stack:
@@ -110,12 +120,13 @@ def schedule_sstf(queue: Sequence[Track], head: Track) -> Schedule:
     """Repeatedly service the pending request nearest the current head.
 
     The serviced requests always form one contiguous block of the sorted
-    queue, so the walk keeps two indices, the nearest pending request below
-    and above, and costs O(n) after the O(n log n) sort. When the two are
-    equidistant, the side from which finishing is cheaper wins (equal cost
-    resolves to the lower track); this lookahead makes total_seek independent
-    of translation and reflection of the instance. It is memoized on the
-    walk state, so exact ties cost at most O(n^2) states.
+    queue, so the walk keeps the nearest pending request below and above and
+    serves each run with one bisect: O(log(span) · log(n)) per walk after the
+    O(n log n) sort. When the two are equidistant, the side from which
+    finishing is cheaper wins (equal cost resolves to the lower track); this
+    lookahead makes total_seek independent of translation and reflection of
+    the instance. It is memoized on the walk state, so exact ties cost at
+    most O(n^2) states, each priced by one walk.
     """
     t = sorted(queue)
     hi = bisect_left(t, head)
@@ -210,10 +221,9 @@ def schedule_odsa(queue: Sequence[Track], head: Track) -> Schedule:
     total_seek = min(|head-lowest|, |head-highest|) + (highest - lowest),
     which is the minimum possible for a static queue.
     """
-    if not queue:
-        return Schedule("ODSA", head, ())
-    lowest, highest = min(queue), max(queue)
-    order = sorted(queue, reverse=abs(head - lowest) > abs(head - highest))
+    order = sorted(queue)
+    if order and abs(head - order[0]) > abs(head - order[-1]):
+        order.reverse()
     return Schedule("ODSA", head, tuple(order))
 
 

@@ -4,14 +4,16 @@ Expected totals and orders were frozen from hand traces of each algorithm's
 path and cross-checked against the optimal-order oracle where applicable.
 """
 
+import math
 import random
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seeksim import schedulers
 from seeksim.model import DiskGeometry
 from seeksim.schedulers import (
     ORACLE_MAX_REQUESTS,
@@ -128,6 +130,19 @@ def test_sstf_long_chain_of_exact_ties():
     assert s.total_seek == 2**1099 + 1
 
 
+@pytest.mark.parametrize("reflect", [False, True])
+def test_sstf_run_stops_at_a_tie_behind_duplicates(reflect):
+    # 6 and 8 tie from 7. Below, the second 6 leaves the head on 6 itself,
+    # so 4 and 8 tie again at 2: a run that served 4 there would skip that
+    # nested tie, whose upper side is cheaper (17 in all, against 18).
+    queue, head, order = [0, 4, 6, 6, 8, 11], 7, (6, 6, 8, 11, 4, 0)
+    if reflect:
+        queue, head, order = [11 - x for x in queue], 11 - head, tuple(11 - x for x in order)
+    s = schedule_sstf(queue, head)
+    assert s.service_order == order
+    assert s.total_seek == 17
+
+
 def _reference_sstf_run(pos, pending):
     """The recursive SSTF with tie lookahead that the linear walk replaced:
     pop the nearest request; at an exact tie, run both continuations and
@@ -193,6 +208,179 @@ def test_sstf_scales_near_linearly():
         return best
 
     assert best_of_3(100_000) < 30 * best_of_3(10_000)
+
+
+def _reference_sstf(queue, head):
+    """The one-request-per-step SSTF walk that run jumps replaced, with the
+    same memoized, stack-based tie lookahead: (service order, total seek)."""
+    t = sorted(queue)
+    n = len(t)
+
+    def walk(state, order):
+        lo, hi, pos = state
+        cost = 0
+        while lo >= 0 and hi < n:
+            d_lo, d_hi = pos - t[lo], t[hi] - pos
+            if d_lo < d_hi:
+                cost, pos, lo = cost + d_lo, t[lo], lo - 1
+            elif d_hi < d_lo:
+                cost, pos, hi = cost + d_hi, t[hi], hi + 1
+            else:
+                return cost, (lo, hi, pos)
+            if order is not None:
+                order.append(pos)
+        if order is not None:
+            order.extend(reversed(t[: lo + 1]))
+            order.extend(t[hi:])
+        if lo >= 0:
+            cost += pos - t[0]
+        elif hi < n:
+            cost += t[-1] - pos
+        return cost, None
+
+    def branches(tie):
+        lo, hi, _ = tie
+        return (lo - 1, hi, t[lo]), (lo, hi + 1, t[hi])
+
+    def finish_cost(state, memo):
+        stack = [] if state in memo else [(state, *walk(state, None))]
+        while stack:
+            current, cost, tie = stack[-1]
+            if tie is not None:
+                pair = branches(tie)
+                missing = [b for b in pair if b not in memo]
+                if missing:
+                    stack.extend((b, *walk(b, None)) for b in missing)
+                    continue
+                _, hi, pos = tie
+                cost += t[hi] - pos + min(memo[b] for b in pair)
+            memo[current] = cost
+            stack.pop()
+        return memo[state]
+
+    hi = bisect_left(t, head)
+    order = []
+    memo = {}
+    state = (hi - 1, hi, head)
+    total = 0
+    while True:
+        cost, tie = walk(state, order)
+        total += cost
+        if tie is None:
+            return tuple(order), total
+        below, above = branches(tie)
+        state = below if finish_cost(below, memo) <= finish_cost(above, memo) else above
+        total += abs(state[2] - tie[2])
+        order.append(state[2])
+
+
+def _cluster_chain(m, k, gap=1):
+    """Tracks 0..m-1 below the head and k requests above it whose gaps
+    double: every step is an exact tie between the next chain request and
+    the top of the cluster, so the lookahead prices the cluster k times."""
+    head = m - 1 + gap
+    return list(range(m)) + [head + gap * (2**i - 1) for i in range(1, k + 1)], head
+
+
+_POWER_HEAD = 2**20
+sstf_families = {
+    "tie_heavy": st.tuples(tie_heavy_queues, st.integers(95, 105)),
+    "wide_uniform": st.tuples(
+        st.lists(st.integers(0, 10**6), max_size=60), st.integers(0, 10**6)
+    ),
+    "dense": st.tuples(st.lists(st.integers(0, 5), max_size=60), st.integers(-1, 6)),
+    "power_of_two": st.tuples(
+        st.lists(
+            st.tuples(st.sampled_from((-1, 1)), st.integers(0, 19)).map(
+                lambda se: _POWER_HEAD + se[0] * 2 ** se[1]
+            ),
+            max_size=40,
+        ),
+        st.just(_POWER_HEAD),
+    ),
+    "cluster_chain": st.builds(
+        _cluster_chain, st.integers(1, 300), st.integers(0, 40), st.integers(1, 4)
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(sstf_families))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sstf_matches_one_step_reference(family, data):
+    queue, head = data.draw(sstf_families[family])
+    order, total = _reference_sstf(queue, head)
+    s = schedule_sstf(queue, head)
+    assert s.service_order == order
+    assert s.total_seek == total
+
+
+def _counting_bisects(mp):
+    """Replace the bisects ``seeksim.schedulers`` calls with counting
+    wrappers; returns the one-element list holding the count."""
+    calls = [0]
+
+    def counting(bisect):
+        def wrapper(*args):
+            calls[0] += 1
+            return bisect(*args)
+
+        return wrapper
+
+    mp.setattr(schedulers, "bisect_left", counting(bisect_left))
+    mp.setattr(schedulers, "bisect_right", counting(bisect_right))
+    return calls
+
+
+@pytest.mark.parametrize("family", sorted(sstf_families))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_sstf_walk_jumps_stay_within_the_stated_bound(family, data):
+    # _walk's docstring: at most 2*log2(span) + 2 jumps (one bisect each) per
+    # walk, where span covers the sorted tracks and the walk's start track.
+    queue, head = data.draw(sstf_families[family])
+    walk = schedulers._walk
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_bisects(mp)
+
+        def checked_walk(t, state, order):
+            before = calls[0]
+            result = walk(t, state, order)
+            jumps, pos = calls[0] - before, state[2]
+            assert jumps == 0 or jumps <= 2 * math.log2(max(t[-1], pos) - min(t[0], pos)) + 2
+            return result
+
+        mp.setattr(schedulers, "_walk", checked_walk)
+        schedule_sstf(queue, head)
+
+
+def test_sstf_tie_chain_bisects_grow_with_the_chain_not_the_cluster():
+    # Deterministic bound: four times the cluster and four times the chain
+    # cost at most four times the bisects (195 -> 524 when this was written),
+    # where pricing each tie one request at a time cost Theta(k * m).
+    counts = []
+    for m, k in ((10**4, 100), (4 * 10**4, 400)):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _counting_bisects(mp)
+            schedule_sstf(*_cluster_chain(m, k))
+            counts.append(calls[0])
+    assert counts[1] <= 4 * counts[0] + 8
+
+
+def test_sstf_tie_chain_scales_near_linearly():
+    # Loose scaling check, no absolute time: scaling the cluster and the
+    # chain by 4 each may cost at most 8 times as long (the one-step walk
+    # took about 16 times, Theta(k * m)).
+    def best_of_5(m, k):
+        queue, head = _cluster_chain(m, k)
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            schedule_sstf(queue, head)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    assert best_of_5(4 * 10**4, 400) < 8 * best_of_5(10**4, 100)
 
 
 # ---------------------------------------------------------------- SCAN
