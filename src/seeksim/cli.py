@@ -27,32 +27,27 @@ from .model import (
     validate_instance,
 )
 from .report import (
+    ALGORITHM_ORDER,
     CAMPAIGN_MAX_N,
     ORACLE_NAME,
     emit,
-    head_path_series,
     run_comparison,
     run_property_campaign,
 )
 from .schedulers import ORACLE_MAX_REQUESTS
 from .workload import (
     BENCHMARK_CASES,
-    WorkloadSpec,
     generate,
     parse_requests,
     reference_case,
     render_requests,
 )
 
+# --algo token -> algorithm selection: each name lowercased without its
+# hyphen, and "all" for the default six.
 _ALGO_TOKENS = {
     "all": None,
-    "fifo": ["FIFO"],
-    "sstf": ["SSTF"],
-    "scan": ["SCAN"],
-    "cscan": ["C-SCAN"],
-    "look": ["LOOK"],
-    "odsa": ["ODSA"],
-    "optimal": [ORACLE_NAME],
+    **{n.lower().replace("-", ""): [n] for n in (*ALGORITHM_ORDER, ORACLE_NAME)},
 }
 
 
@@ -191,34 +186,25 @@ def _resolve_instance(args: argparse.Namespace):
     return validate_instance(queue, head, _build_geometry(args)), None
 
 
-def _build_model(args: argparse.Namespace) -> TransferModel:
-    return TransferModel(args.bytes, args.track_bytes, args.rps)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     instance, case_id = _resolve_instance(args)
-    algorithms = _ALGO_TOKENS[args.algo]
-    if args.path:
-        if args.paper_table:
-            raise SchedulingError("--paper-table applies to metric tables, not --path")
-        series = head_path_series(instance, algorithms)
-        sys.stdout.write(emit(series, args.format))
-        return 0
+    if args.paper_table and args.path:
+        raise SchedulingError("--paper-table applies to metric tables, not --path")
     if args.paper_table and case_id is None:
         raise SchedulingError("--paper-table needs --case (published values exist for cases 1-3)")
-    report = run_comparison(instance, _build_model(args), algorithms, case_id)
-    sys.stdout.write(emit(report, args.format, include_published=args.paper_table))
+    model = TransferModel(args.bytes, args.track_bytes, args.rps)
+    report = run_comparison(instance, model, _ALGO_TOKENS[args.algo], case_id)
+    sys.stdout.write(emit(report.rows if args.path else report, args.format, args.paper_table))
     return 0
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     geometry = _build_geometry(args)
-    spec = WorkloadSpec(count=args.count, geometry=geometry, seed=args.seed)
-    queue = generate(spec)
+    queue = generate(args.count, geometry, args.seed)
     if args.head is not None:
         validate_instance((), args.head, geometry)
     text = (
-        f"# uniform workload: count={spec.count} seed={spec.seed} "
+        f"# uniform workload: count={args.count} seed={args.seed} "
         f"tracks=[{geometry.min_track},{geometry.max_track}]\n"
     ) + render_requests(queue, args.head)
     if args.output:

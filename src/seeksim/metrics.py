@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .model import Schedule, SchedulingError, TransferModel, _Frozen, rotational_overhead
+from .model import Schedule, SchedulingError, TransferModel, rotational_overhead
 
 
 class EmptyScheduleError(SchedulingError):
@@ -42,24 +42,11 @@ def transfer_time(avg_seek: float, model: TransferModel) -> float:
     return total
 
 
-class MetricRow(_Frozen):
-    """One comparison-table line. average_seek/transfer_time are None for an
-    empty queue, where the average is undefined."""
-
-    _fields = ("algorithm", "total_seek", "average_seek", "transfer_time", "service_order")
-
-    def __init__(
-        self, algorithm: str, total_seek: int, average_seek: float | None,
-        transfer_time: float | None, service_order: tuple[int, ...],
-    ):
-        self.__dict__.update(
-            algorithm=algorithm, total_seek=total_seek, average_seek=average_seek,
-            transfer_time=transfer_time, service_order=service_order,
-        )
+_PLACES = 5
 
 
-def display(value: float | None, places: int = 5) -> str:
-    """Table rendering of a metric: truncated toward zero at ``places``
+def display(value: float | None) -> str:
+    """Table rendering of a metric: truncated toward zero at ``_PLACES``
     decimals, trailing zeros dropped.
 
     Truncation (not rounding) matches how the reference tables print the
@@ -70,8 +57,8 @@ def display(value: float | None, places: int = 5) -> str:
     from decimal import ROUND_DOWN, Context, Decimal  # slow to import; only tables need it
     exact = Decimal(repr(value))
     # Enough significant digits for every integer digit of a large value.
-    context = Context(prec=max(exact.adjusted(), 0) + 1 + places)
-    text = str(exact.quantize(Decimal(1).scaleb(-places), ROUND_DOWN, context))
+    context = Context(prec=max(exact.adjusted(), 0) + 1 + _PLACES)
+    text = str(exact.quantize(Decimal(1).scaleb(-_PLACES), ROUND_DOWN, context))
     if "." in text:
         text = text.rstrip("0").rstrip(".")
     return text

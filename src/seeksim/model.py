@@ -104,10 +104,6 @@ class DiskGeometry(_Frozen):
             )
         self.__dict__.update(min_track=min_track, max_track=max_track)
 
-    @property
-    def width(self) -> int:
-        return self.max_track - self.min_track
-
     def contains(self, track: Track) -> bool:
         return self.min_track <= track <= self.max_track
 

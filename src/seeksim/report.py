@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterable, Sequence
 
-from .metrics import MetricRow, average_seek, display, transfer_time
+from .metrics import average_seek, display, transfer_time
 from .model import (
     DiskGeometry,
     Instance,
@@ -93,29 +93,23 @@ def run_schedule(name: str, instance: Instance) -> Schedule:
 
 
 class ComparisonReport(_Frozen):
-    """Per-algorithm metric rows for one instance, in canonical order."""
+    """The selected algorithms' schedules for one instance, in canonical
+    order. The table emitters derive each row's average seek and transfer
+    time from its schedule and the model."""
 
     _fields = ("instance", "model", "rows", "case_id")
 
     def __init__(
-        self, instance: Instance, model: TransferModel, rows: tuple[MetricRow, ...],
+        self, instance: Instance, model: TransferModel, rows: tuple[Schedule, ...],
         case_id: int | None = None,
     ):
         self.__dict__.update(instance=instance, model=model, rows=rows, case_id=case_id)
 
-    def row(self, algorithm: str) -> MetricRow:
+    def row(self, algorithm: str) -> Schedule:
         for r in self.rows:
             if r.algorithm == algorithm:
                 return r
         raise KeyError(algorithm)
-
-
-def _metric_row(name: str, instance: Instance, model: TransferModel) -> MetricRow:
-    schedule = run_schedule(name, instance)
-    if not schedule.service_order:
-        return MetricRow(name, schedule.total_seek, None, None, schedule.service_order)
-    avg = average_seek(schedule)
-    return MetricRow(name, schedule.total_seek, avg, transfer_time(avg, model), schedule.service_order)
 
 
 def _normalize_selection(algorithms: Iterable[str] | None) -> tuple[str, ...]:
@@ -137,27 +131,31 @@ def run_comparison(
     algorithms: Iterable[str] | None = None,
     case_id: int | None = None,
 ) -> ComparisonReport:
-    """Run the selected algorithms (default: all six) and tabulate metrics."""
+    """Run the selected algorithms (default: all six). ``emit`` renders the
+    report as a metric table, and its ``rows`` as head-path series."""
     model = model if model is not None else TransferModel()
-    rows = tuple(_metric_row(n, instance, model) for n in _normalize_selection(algorithms))
+    rows = tuple(run_schedule(n, instance) for n in _normalize_selection(algorithms))
     return ComparisonReport(instance, model, rows, case_id)
 
 
-def head_path_series(
-    instance: Instance, algorithms: Iterable[str] | None = None
-) -> tuple[Schedule, ...]:
-    """The schedules of the selected algorithms (default: all six), for
-    ``emit`` to render as head-path series."""
-    return tuple(run_schedule(n, instance) for n in _normalize_selection(algorithms))
+def _averages(report: ComparisonReport, row: Schedule) -> tuple[float | None, float | None]:
+    """A row's average seek and transfer time; both None for an empty queue,
+    where the average is undefined."""
+    if not row.service_order:
+        return None, None
+    avg = average_seek(row)
+    return avg, transfer_time(avg, report.model)
 
 
-def _published_cells(report: ComparisonReport, row: MetricRow) -> tuple[str, str, str]:
+def _published_cells(
+    report: ComparisonReport, algorithm: str, avg: float | None
+) -> tuple[str, str, str]:
     table = PUBLISHED_TABLES[report.case_id]
-    if row.algorithm not in table:
+    if algorithm not in table:
         return "", "", ""
-    pub_avg, pub_transfer = table[row.algorithm]
+    pub_avg, pub_transfer = table[algorithm]
     note = ""
-    if row.average_seek is not None and float(pub_avg) != row.average_seek:
+    if avg is not None and float(pub_avg) != avg:
         note = DIVERGENCE_NOTE
     return pub_avg, pub_transfer, note
 
@@ -193,36 +191,39 @@ def _comparison_csv(report: ComparisonReport, include_published: bool) -> str:
         header += ["published_average_seek", "published_transfer_time", "note"]
     lines = [",".join(header)]
     for row in report.rows:
+        avg, transfer = _averages(report, row)
         cells = [
             _csv_cell(row.algorithm),
             str(row.total_seek),
-            "" if row.average_seek is None else repr(row.average_seek),
-            "" if row.transfer_time is None else repr(row.transfer_time),
+            "" if avg is None else repr(avg),
+            "" if transfer is None else repr(transfer),
             ("%s;" * len(row.service_order) % tuple(row.service_order))[:-1],
-            display(row.average_seek),
-            display(row.transfer_time),
+            display(avg),
+            display(transfer),
         ]
         if include_published:
-            cells += _published_cells(report, row)
+            cells += _published_cells(report, row.algorithm, avg)
         lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def _comparison_json(report: ComparisonReport, include_published: bool) -> str:
     inst, model = report.instance, report.model
     rows = []
     for row in report.rows:
+        avg, transfer = _averages(report, row)
         entry = {
             "algorithm": row.algorithm,
             "total_seek": row.total_seek,
-            "average_seek": row.average_seek,
-            "transfer_time": row.transfer_time,
+            "average_seek": avg,
+            "transfer_time": transfer,
             "service_order": _IntList.of(row.service_order),
-            "average_seek_display": display(row.average_seek),
-            "transfer_time_display": display(row.transfer_time),
+            "average_seek_display": display(avg),
+            "transfer_time_display": display(transfer),
         }
         if include_published:
-            pub_avg, pub_transfer, note = _published_cells(report, row)
+            pub_avg, pub_transfer, note = _published_cells(report, row.algorithm, avg)
             entry["published_average_seek"] = pub_avg
             entry["published_transfer_time"] = pub_transfer
             entry["note"] = note
@@ -319,9 +320,10 @@ def emit(
     format: str = "csv",
     include_published: bool = False,
 ) -> str:
-    """Render a comparison report as a CSV or JSON table, or schedules as
-    their head paths: one ``[step, track]`` series per schedule, step 0 at
-    the start position and every stop after it, unserviced ones included.
+    """Render a comparison report as a CSV or JSON table, or schedules (such
+    as a report's rows) as their head paths: one ``[step, track]`` series per
+    schedule, step 0 at the start position and every stop after it,
+    unserviced ones included.
 
     ``include_published`` appends the originally published table values and a
     divergence note; it requires a report built from a benchmark case.
@@ -342,17 +344,6 @@ def emit(
 CAMPAIGN_MAX_N = 8
 
 
-class CampaignFailure(Exception):
-    """A verification campaign found a counterexample."""
-
-    def __init__(self, summary: "CampaignSummary"):
-        self.summary = summary
-        super().__init__(
-            f"{summary.failures} of {summary.trials} trials failed; "
-            f"first counterexample: {summary.first_counterexample}"
-        )
-
-
 class CampaignSummary(_Frozen):
     """Outcome of a randomized verification campaign."""
 
@@ -368,10 +359,6 @@ class CampaignSummary(_Frozen):
             check_failures={} if check_failures is None else check_failures,
             first_counterexample=first_counterexample,
         )
-
-    def raise_if_failed(self) -> None:
-        if self.failures:
-            raise CampaignFailure(self)
 
 
 def _check_trial(queue: list[int], head: int, geometry: DiskGeometry) -> list[str]:
@@ -399,7 +386,6 @@ def run_property_campaign(
     trials: int,
     seed: int = 0,
     max_n: int = CAMPAIGN_MAX_N,
-    geometry: DiskGeometry | None = None,
 ) -> CampaignSummary:
     """Check random instances against the exact optimal-order oracle.
 
@@ -412,7 +398,7 @@ def run_property_campaign(
         raise SchedulingError(f"trials must be >= 1, got {trials}")
     if not 1 <= max_n <= ORACLE_MAX_REQUESTS:
         raise SchedulingError(f"max_n must be in [1, {ORACLE_MAX_REQUESTS}], got {max_n}")
-    g = geometry if geometry is not None else DiskGeometry()
+    g = DiskGeometry()
     rng = random.Random(seed)
     passes = 0
     failures = 0

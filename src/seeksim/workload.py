@@ -18,7 +18,7 @@ import random
 import re
 from typing import Sequence
 
-from .model import DiskGeometry, SchedulingError, _echo, _Frozen
+from .model import DiskGeometry, SchedulingError, _echo
 
 
 class UnknownCaseError(SchedulingError):
@@ -55,28 +55,18 @@ def reference_case(case_id: int) -> tuple[tuple[int, ...], int, DiskGeometry]:
     return tracks, head, DiskGeometry()
 
 
-class WorkloadSpec(_Frozen):
-    """Parameters for a reproducible random workload. Tracks are drawn
-    uniformly over the geometry, inclusive of both bounds."""
-
-    _fields = ("count", "geometry", "seed")
-
-    # One default geometry serves every spec: it is immutable.
-    def __init__(self, count: int, geometry: DiskGeometry = DiskGeometry(), seed: int = 0):
-        if count < 1:
-            raise SchedulingError(f"count must be >= 1, got {count}")
-        if not 0 <= seed < 2**64:
-            raise SchedulingError("seed must fit in 64 unsigned bits")
-        self.__dict__.update(count=count, geometry=geometry, seed=seed)
-
-
-def generate(spec: WorkloadSpec) -> tuple[int, ...]:
-    """Draw the workload. Deterministic per seed: uses the stdlib Mersenne
-    Twister (random.Random), whose integer draws are stable across builds for
-    a given CPython random-module implementation."""
-    rng = random.Random(spec.seed)
-    g = spec.geometry
-    return tuple(rng.randint(g.min_track, g.max_track) for _ in range(spec.count))
+def generate(count: int, geometry: DiskGeometry | None = None, seed: int = 0) -> tuple[int, ...]:
+    """Draw ``count`` tracks uniformly over the geometry (default
+    ``DiskGeometry()``), inclusive of both bounds. Deterministic per seed:
+    uses the stdlib Mersenne Twister (random.Random), whose integer draws are
+    stable across builds for a given CPython random-module implementation."""
+    if count < 1:
+        raise SchedulingError(f"count must be >= 1, got {count}")
+    if not 0 <= seed < 2**64:
+        raise SchedulingError("seed must fit in 64 unsigned bits")
+    g = geometry if geometry is not None else DiskGeometry()
+    rng = random.Random(seed)
+    return tuple(rng.randint(g.min_track, g.max_track) for _ in range(count))
 
 
 _HEAD_DIRECTIVE = re.compile(r"^head\b")

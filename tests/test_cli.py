@@ -114,6 +114,8 @@ def test_custom_geometry_changes_cscan_wrap(capsys):
         ("run", "--case", "1", "--algo", "odsa", "--rps", "1e-320"),
         ("run", "--case", "1", "--bytes", "9" * 400),
         ("run", "--head", str(2**1100), "--requests", f"1,{2**1100}", "--max-track", str(2**1100)),
+        ("run", "--case", "1", "--path", "--rps", "nan"),
+        ("run", "--case", "1", "--path", "--bytes", "0"),
     ],
 )
 def test_invalid_input_exits_2(capsys, argv):

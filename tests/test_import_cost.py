@@ -62,15 +62,15 @@ def test_table_output_loads_only_what_it_uses():
 
 
 PUBLIC_NAMES = [
-    "ALGORITHM_ORDER", "BENCHMARK_CASES", "CampaignFailure", "CampaignSummary",
-    "ComparisonReport", "DiskGeometry", "EmptyGeometryError", "EmptyScheduleError", "Instance",
-    "InvalidModelError", "MetricOverflowError", "MetricRow", "NegativeTrackError",
-    "OutOfRangeError", "PUBLISHED_TABLES", "ParseError", "QueueTooLargeError", "Schedule",
-    "SchedulingError", "TransferModel", "UnknownCaseError", "WorkloadSpec", "average_seek",
-    "brute_force_optimal", "display", "emit", "generate", "head_path_series", "parse_requests",
-    "reference_case", "render_requests", "rotational_overhead", "run_comparison",
-    "run_property_campaign", "run_schedule", "schedule_cscan", "schedule_fifo", "schedule_look",
-    "schedule_odsa", "schedule_scan", "schedule_sstf", "transfer_time", "validate_instance",
+    "ALGORITHM_ORDER", "BENCHMARK_CASES", "CampaignSummary", "ComparisonReport", "DiskGeometry",
+    "EmptyGeometryError", "EmptyScheduleError", "Instance", "InvalidModelError",
+    "MetricOverflowError", "NegativeTrackError", "OutOfRangeError", "PUBLISHED_TABLES",
+    "ParseError", "QueueTooLargeError", "Schedule", "SchedulingError", "TransferModel",
+    "UnknownCaseError", "average_seek", "brute_force_optimal", "display", "emit", "generate",
+    "parse_requests", "reference_case", "render_requests", "rotational_overhead",
+    "run_comparison", "run_property_campaign", "run_schedule", "schedule_cscan", "schedule_fifo",
+    "schedule_look", "schedule_odsa", "schedule_scan", "schedule_sstf", "transfer_time",
+    "validate_instance",
 ]
 
 
@@ -80,7 +80,15 @@ def test_public_names_are_pinned():
         assert getattr(seeksim, name) is not None
 
 
-@pytest.mark.parametrize("name", ["HeadPathSeries", "OdsaPlan", "plan_odsa"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "HeadPathSeries", "OdsaPlan", "plan_odsa", "MetricRow", "WorkloadSpec", "CampaignFailure",
+        "head_path_series",
+    ],
+)
 def test_removed_names_stay_gone(name):
-    for module in (seeksim, seeksim.report, seeksim.schedulers):
+    for module in (
+        seeksim, seeksim.metrics, seeksim.report, seeksim.schedulers, seeksim.workload,
+    ):
         assert not hasattr(module, name)

@@ -15,7 +15,7 @@ CASE1_QUEUE = [25, 10, 151, 170, 62, 46, 74, 111]
 
 def test_default_geometry_bounds():
     g = DiskGeometry()
-    assert (g.min_track, g.max_track, g.width) == (0, 180, 180)
+    assert (g.min_track, g.max_track) == (0, 180)
     assert g.contains(0) and g.contains(180) and not g.contains(181)
 
 

@@ -1,4 +1,4 @@
-"""The contract of the eight value types: field order in repr, equality and
+"""The contract of the six value types: field order in repr, equality and
 hashing by field, immutability, constructor checks and cached properties.
 
 The pinned reprs are the ones the frozen-dataclass versions of these types
@@ -12,7 +12,6 @@ import pickle
 import pytest
 
 from seeksim import model
-from seeksim.metrics import MetricRow
 from seeksim.model import (
     DiskGeometry,
     EmptyGeometryError,
@@ -25,10 +24,10 @@ from seeksim.model import (
 )
 from seeksim.report import CampaignSummary, ComparisonReport
 from seeksim.schedulers import schedule_scan
-from seeksim.workload import WorkloadSpec
+from seeksim.workload import generate
 
 CASE_INSTANCE = Instance((25, 10, 151), 45, DiskGeometry())
-ROW = MetricRow("ODSA", 176, 58.666666666666664, 58.67858383, (25, 10, 151))
+ROW = Schedule("ODSA", 45, (25, 10, 151))
 
 # (type, constructor args, a field, another value for it, pinned repr)
 CASES = [
@@ -48,18 +47,13 @@ CASES = [
         "geometry=DiskGeometry(min_track=0, max_track=180))",
     ),
     (
-        MetricRow, ("ODSA", 176, 58.666666666666664, 58.67858383, (25, 10, 151)), "total_seek", 177,
-        "MetricRow(algorithm='ODSA', total_seek=176, average_seek=58.666666666666664, "
-        "transfer_time=58.67858383, service_order=(25, 10, 151))",
-    ),
-    (
         ComparisonReport, (CASE_INSTANCE, TransferModel(), (ROW,), 1), "case_id", None,
         "ComparisonReport(instance=Instance(queue=(25, 10, 151), head=45, "
         "geometry=DiskGeometry(min_track=0, max_track=180)), "
         "model=TransferModel(bytes_to_transfer=30000, bytes_per_track=32256, "
-        "rotation_speed=120.0), rows=(MetricRow(algorithm='ODSA', total_seek=176, "
-        "average_seek=58.666666666666664, transfer_time=58.67858383, "
-        "service_order=(25, 10, 151)),), case_id=1)",
+        "rotation_speed=120.0), rows=(Schedule(algorithm='ODSA', start=45, "
+        "stops=(25, 10, 151), idle=(), service_order=(25, 10, 151), preliminary_moves=(), "
+        "total_seek=176),), case_id=1)",
     ),
     (
         CampaignSummary,
@@ -68,10 +62,6 @@ CASES = [
         "CampaignSummary(trials=10, seed=3, max_n=8, passes=9, failures=1, "
         "check_failures={'dominance:SSTF': 1}, "
         "first_counterexample={'queue': [1, 2], 'head': 0, 'checks': ['x']})",
-    ),
-    (
-        WorkloadSpec, (5, DiskGeometry(10, 20), 7), "seed", 8,
-        "WorkloadSpec(count=5, geometry=DiskGeometry(min_track=10, max_track=20), seed=7)",
     ),
 ]
 IDS = [case[0].__name__ for case in CASES]
@@ -85,12 +75,10 @@ FIELDS = {
         "algorithm", "start", "stops", "idle", "service_order", "preliminary_moves", "total_seek",
     ),
     Instance: ("queue", "head", "geometry"),
-    MetricRow: ("algorithm", "total_seek", "average_seek", "transfer_time", "service_order"),
     ComparisonReport: ("instance", "model", "rows", "case_id"),
     CampaignSummary: (
         "trials", "seed", "max_n", "passes", "failures", "check_failures", "first_counterexample",
     ),
-    WorkloadSpec: ("count", "geometry", "seed"),
 }
 
 
@@ -109,9 +97,6 @@ def test_repr_is_pinned(cls, args, field, other, text):
 
 
 def test_defaults_print_like_before():
-    assert repr(WorkloadSpec(3)) == (
-        "WorkloadSpec(count=3, geometry=DiskGeometry(min_track=0, max_track=180), seed=0)"
-    )
     assert repr(CampaignSummary(1, 0, 8, 1, 0)) == (
         "CampaignSummary(trials=1, seed=0, max_n=8, passes=1, failures=0, "
         "check_failures={}, first_counterexample=None)"
@@ -184,9 +169,9 @@ def test_values_survive_pickle_and_copy(cls, args, field, other, text):
          "rotation_speed must be finite and positive, got nan"),
         (lambda: TransferModel(rotation_speed=1e-320), InvalidModelError,
          "rotational overhead 1/(2R) + B/(R*N) overflows a float"),
-        (lambda: WorkloadSpec(0), SchedulingError, "count must be >= 1, got 0"),
-        (lambda: WorkloadSpec(1, seed=-1), SchedulingError, "seed must fit in 64 unsigned bits"),
-        (lambda: WorkloadSpec(1, seed=2**64), SchedulingError, "seed must fit in 64 unsigned bits"),
+        (lambda: generate(0), SchedulingError, "count must be >= 1, got 0"),
+        (lambda: generate(1, seed=-1), SchedulingError, "seed must fit in 64 unsigned bits"),
+        (lambda: generate(1, seed=2**64), SchedulingError, "seed must fit in 64 unsigned bits"),
     ],
 )
 def test_constructor_errors_keep_class_and_message(make, error, message):
@@ -199,7 +184,7 @@ def test_constructor_errors_keep_class_and_message(make, error, message):
 def test_keyword_construction_and_defaults():
     assert DiskGeometry(max_track=9) == DiskGeometry(0, 9)
     assert TransferModel(rotation_speed=60.0) == TransferModel(30000, 32256, 60.0)
-    assert WorkloadSpec(count=4, seed=2) == WorkloadSpec(4, DiskGeometry(), 2)
+    assert generate(count=4, seed=2) == generate(4, DiskGeometry(), 2)
     assert ComparisonReport(CASE_INSTANCE, TransferModel(), (ROW,)).case_id is None
     assert Schedule("FIFO", 1, (2,)).idle == ()
 

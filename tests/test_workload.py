@@ -9,7 +9,6 @@ from seeksim.workload import (
     NegativeTrackError,
     ParseError,
     UnknownCaseError,
-    WorkloadSpec,
     _parse_track,
     generate,
     parse_requests,
@@ -45,25 +44,24 @@ def test_unknown_case_error_is_short():
 
 def test_workload_spec_rejects_zero_count():
     with pytest.raises(ValueError):
-        WorkloadSpec(count=0)
+        generate(count=0)
 
 
 def test_workload_spec_rejects_seed_beyond_64_bits():
     with pytest.raises(ValueError):
-        WorkloadSpec(count=3, seed=2**64)
+        generate(count=3, seed=2**64)
     with pytest.raises(ValueError):
-        WorkloadSpec(count=3, seed=-1)
+        generate(count=3, seed=-1)
 
 
 def test_generate_is_deterministic_per_seed():
-    spec = WorkloadSpec(count=8, seed=1234)
-    assert list(generate(spec)) == list(generate(spec))
-    assert list(generate(WorkloadSpec(count=8, seed=1235))) != list(generate(spec))
+    queue = generate(count=8, seed=1234)
+    assert generate(count=8, seed=1234) == queue
+    assert generate(count=8, seed=1235) != queue
 
 
 def test_generate_respects_geometry():
-    spec = WorkloadSpec(count=200, geometry=DiskGeometry(10, 20), seed=7)
-    queue = generate(spec)
+    queue = generate(count=200, geometry=DiskGeometry(10, 20), seed=7)
     assert len(queue) == 200
     assert all(10 <= t <= 20 for t in queue)
 
