@@ -9,7 +9,7 @@ so identical inputs give byte-identical text.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .metrics import average_seek, display, transfer_time
 from .model import (
@@ -138,34 +138,35 @@ def run_comparison(
     return ComparisonReport(instance, model, rows, case_id)
 
 
-def _averages(report: ComparisonReport, row: Schedule) -> tuple[float | None, float | None]:
-    """A row's average seek and transfer time; both None for an empty queue,
-    where the average is undefined."""
-    if not row.service_order:
-        return None, None
-    avg = average_seek(row)
-    return avg, transfer_time(avg, report.model)
+_COLUMNS = ("algorithm", "total_seek", "average_seek", "transfer_time", "service_order",
+            "average_seek_display", "transfer_time_display")
+_PUBLISHED_COLUMNS = _COLUMNS + ("published_average_seek", "published_transfer_time", "note")
 
 
-def _published_cells(
-    report: ComparisonReport, algorithm: str, avg: float | None
-) -> tuple[str, str, str]:
-    table = PUBLISHED_TABLES[report.case_id]
-    if algorithm not in table:
-        return "", "", ""
-    pub_avg, pub_transfer = table[algorithm]
-    note = ""
-    if avg is not None and float(pub_avg) != avg:
-        note = DIVERGENCE_NOTE
-    return pub_avg, pub_transfer, note
+def _table_rows(report: ComparisonReport, include_published: bool) -> Iterator[tuple]:
+    """Each row's values in column order. The averages of an empty queue are
+    undefined, so both are None and display as empty strings."""
+    for row in report.rows:
+        avg = average_seek(row) if row.service_order else None
+        transfer = None if avg is None else transfer_time(avg, report.model)
+        values = (row.algorithm, row.total_seek, avg, transfer, row.service_order,
+                  display(avg), display(transfer))
+        if include_published:
+            pub_avg, pub_transfer = PUBLISHED_TABLES[report.case_id].get(row.algorithm, ("", ""))
+            diverges = avg is not None and pub_avg != "" and float(pub_avg) != avg
+            values += (pub_avg, pub_transfer, DIVERGENCE_NOTE if diverges else "")
+        yield values
 
 
 # The CSV emitters join cells directly: only an algorithm name can hold a
 # comma, a quote or a line break (ints, float reprs, display strings, the
 # published values and DIVERGENCE_NOTE cannot), so only it goes through
-# _csv_cell. All four emitters render each bulk int column with one C-level
-# ``%`` call on a template of "%s" slots, not one str() call per int. "%s" is
-# exactly str(), and ``%`` needs a tuple, as it treats a list as one argument.
+# _csv_cell. The JSON emitters write json.dumps(indent=2)'s layout themselves
+# and send every scalar but a plain int through json.dumps. Both render each
+# bulk int column with one C-level ``%`` call on a template of "%s" slots, not
+# one str() call per int: "%s" is exactly str(), which is also what json.dumps
+# prints for a plain int, and ``%`` needs a tuple, as it takes a list as one
+# argument.
 def _csv_cell(text: str) -> str:
     """``text`` as a cell of csv.writer(lineterminator="\\n"); plain names skip it."""
     if not any(c in text for c in ',"\r\n'):
@@ -178,60 +179,70 @@ def _csv_cell(text: str) -> str:
 
 
 def _comparison_csv(report: ComparisonReport, include_published: bool) -> str:
-    header = [
-        "algorithm",
-        "total_seek",
-        "average_seek",
-        "transfer_time",
-        "service_order",
-        "average_seek_display",
-        "transfer_time_display",
-    ]
-    if include_published:
-        header += ["published_average_seek", "published_transfer_time", "note"]
-    lines = [",".join(header)]
-    for row in report.rows:
-        avg, transfer = _averages(report, row)
+    lines = [",".join(_PUBLISHED_COLUMNS if include_published else _COLUMNS)]
+    for name, total, avg, transfer, order, *text in _table_rows(report, include_published):
         cells = [
-            _csv_cell(row.algorithm),
-            str(row.total_seek),
+            _csv_cell(name),
+            str(total),
             "" if avg is None else repr(avg),
             "" if transfer is None else repr(transfer),
-            ("%s;" * len(row.service_order) % tuple(row.service_order))[:-1],
-            display(avg),
-            display(transfer),
+            ("%s;" * len(order) % tuple(order))[:-1],
+            *text,
         ]
-        if include_published:
-            cells += _published_cells(report, row.algorithm, avg)
         lines.append(",".join(cells))
     lines.append("")  # the final newline, without a second copy of the text
     return "\n".join(lines)
 
 
+def _json_scalars(values: Sequence) -> tuple | None:
+    """``values`` as ``%`` arguments that print as json.dumps prints them, or
+    None if one of them is a container: plain ints as they are, any other
+    scalar (bool, which json.dumps prints as true/false, float, str, None)
+    through json.dumps."""
+    import json  # slow to import; only JSON output needs it
+    types = set(map(type, values))
+    if types <= {int}:
+        return tuple(values)
+    return None if types & {dict, list, tuple} else tuple(map(json.dumps, values))
+
+
+def _json_parts(value, parts: list[str], indent: str = "\n") -> list[str]:
+    """Append the text of ``json.dumps(value, indent=2)`` to ``parts`` in
+    pieces, for a value whose line ``indent`` (a newline and spaces) opens.
+    A list of scalars takes one ``%`` call."""
+    import json
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        sep = "{"
+        for key, item in value.items():
+            parts.append(f"{sep}{inner}{json.dumps(key)}: ")
+            _json_parts(item, parts, inner)
+            sep = ","
+        parts.append(indent + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        scalars = _json_scalars(value)
+        if scalars is None:
+            sep = "["
+            for item in value:
+                parts.append(sep + inner)
+                _json_parts(item, parts, inner)
+                sep = ","
+            parts.append(indent + "]")
+        else:
+            body = ("%s," + inner) * (len(value) - 1) + "%s"
+            parts.append(("[" + inner + body + indent + "]") % scalars)
+    else:
+        parts.append(json.dumps(value))
+    return parts
+
+
 def _comparison_json(report: ComparisonReport, include_published: bool) -> str:
     inst, model = report.instance, report.model
-    rows = []
-    for row in report.rows:
-        avg, transfer = _averages(report, row)
-        entry = {
-            "algorithm": row.algorithm,
-            "total_seek": row.total_seek,
-            "average_seek": avg,
-            "transfer_time": transfer,
-            "service_order": _IntList.of(row.service_order),
-            "average_seek_display": display(avg),
-            "transfer_time_display": display(transfer),
-        }
-        if include_published:
-            pub_avg, pub_transfer, note = _published_cells(report, row.algorithm, avg)
-            entry["published_average_seek"] = pub_avg
-            entry["published_transfer_time"] = pub_transfer
-            entry["note"] = note
-        rows.append(entry)
+    columns = _PUBLISHED_COLUMNS if include_published else _COLUMNS
     doc = {
         "instance": {
             "head": inst.head,
-            "queue": _IntList.of(inst.queue),
+            "queue": inst.queue,
             "geometry": {"min_track": inst.geometry.min_track, "max_track": inst.geometry.max_track},
             "model": {
                 "bytes_to_transfer": model.bytes_to_transfer,
@@ -240,79 +251,39 @@ def _comparison_json(report: ComparisonReport, include_published: bool) -> str:
             },
             "case": report.case_id,
         },
-        "rows": rows,
+        "rows": [dict(zip(columns, values)) for values in _table_rows(report, include_published)],
     }
-    return _dumps(doc)
+    return "".join(_json_parts(doc, []) + ["\n"])
 
 
 def _series_csv(schedules: Sequence[Schedule]) -> str:
-    # Every series shares the step column: one line template per step.
-    lines = [f",{i},%s\n" for i in range(max((len(s.stops) + 1 for s in schedules), default=0))]
-    parts = ["algorithm,step,track\n"]
+    lines, parts = [], ["algorithm,step,track\n"]
     for s in schedules:
+        n = len(s.stops) + 1  # the head path's length
+        # Every series shares the step column: one line template per step.
+        lines += (f",{i},%s\n" for i in range(len(lines), n))
         name = _csv_cell(s.algorithm).replace("%", "%%")
-        parts.append((name + name.join(lines[: len(s.stops) + 1])) % s.head_path())
+        parts.append((name + name.join(lines[:n])) % s.head_path())
     return "".join(parts)
 
 
 def _series_json(schedules: Sequence[Schedule]) -> str:
-    entries = [
-        {"algorithm": s.algorithm, "points": _IntList.of(s.head_path(), pairs=True)}
-        for s in schedules
-    ]
-    return _dumps({"series": entries})
-
-
-class _IntList:
-    """A list of plain ints, or its ``[[step, int], ...]`` pairs, that
-    ``_dumps`` lays out itself with one ``%`` call."""
-
-    def __init__(self, values: tuple, pairs: bool):
-        self.values, self.pairs = values, pairs
-
-    @staticmethod
-    def of(values: Sequence, pairs: bool = False):
-        # bool is an int subclass that json renders as true/false, not str(),
-        # so an empty list or one with anything but plain ints stays a list.
-        if values and set(map(type, values)) <= {int}:
-            return _IntList(tuple(values), pairs)
-        return [[i, t] for i, t in enumerate(values)] if pairs else list(values)
-
-
-def _dumps(doc) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"``. json.dumps renders the doc with
-    a marker string in place of each ``_IntList``; each list then takes the
-    indent of its marker's line, so json.dumps alone decides the layout."""
-    import json  # slow to import; only JSON output needs it
-    marker, lists = "\x00", []
-
-    def slot(o):
-        if not isinstance(o, _IntList):
-            return json.JSONEncoder().default(o)  # raises TypeError like json.dumps
-        lists.append(o)
-        return marker
-
-    while True:
-        lists.clear()
-        parts = json.dumps(doc, indent=2, default=slot).split(json.dumps(marker))
-        if len(parts) == len(lists) + 1:
-            break
-        marker += "\x00"  # a string in the doc equals the marker
-    out, steps = [parts[0]], {}
-    for ints, after in zip(lists, parts[1:]):
-        line = out[-1][out[-1].rfind("\n") + 1 :]
-        close = "\n" + " " * (len(line) - len(line.lstrip(" ")))
-        item, n = close + "  ", len(ints.values)
-        if ints.pairs:
-            # Pair templates are shared by every list at the same indent.
-            if len(steps.get(item, ())) < n:
-                steps[item] = [f"[{item}  {i},{item}  %s{item}]" for i in range(n)]
-            body = ("," + item).join(steps[item][:n])
-        else:
-            body = ("%s," + item) * (n - 1) + "%s"
-        out += ("[" + item + body + close + "]") % ints.values, after
-    out.append("\n")
-    return "".join(out)
+    import json
+    if not schedules:
+        return '{\n  "series": []\n}\n'
+    points, parts, sep = [], ['{\n  "series": '], "["
+    for s in schedules:
+        n = len(s.stops) + 1  # the head path's length
+        # Every series shares the [step, track] items: one template per step.
+        points += (f"[\n          {i},\n          %s\n        ]" for i in range(len(points), n))
+        parts += (
+            sep, '\n    {\n      "algorithm": ', json.dumps(s.algorithm),
+            ',\n      "points": [\n        ',
+            ",\n        ".join(points[:n]) % _json_scalars(s.head_path()), "\n      ]\n    }",
+        )
+        sep = ","
+    parts.append("\n  ]\n}\n")
+    return "".join(parts)
 
 
 def emit(

@@ -97,8 +97,13 @@ def _finish_cost(t: list[Track], state: _State, memo: dict[_State, int]) -> int:
 
     Nested ties are resolved with an explicit stack instead of recursion: a
     state whose walk stops at a tie waits until both branches are priced.
-    ``memo`` caches every priced state across calls, so the lookahead prices
-    at most O(n^2) distinct states, each with one O(log span)-jump walk.
+    ``memo`` caches every priced state across calls. A tie state has the
+    head at one end of the serviced block: at the low end, pos = t[lo + 1],
+    the tie fixes t[hi] = 2·pos - t[lo] (the high end is the mirror image).
+    Walks serve whole runs of equal tracks, so block ends fall on value
+    boundaries, and there are at most two tie states per distinct track and
+    two priced branches per tie. Each is priced by one O(log span)-jump walk,
+    so the walks cost O(d · log span · log n) for d distinct tracks.
     """
     stack = [] if state in memo else [(state, *_walk(t, state, None))]
     while stack:
@@ -125,8 +130,10 @@ def schedule_sstf(queue: Sequence[Track], head: Track) -> Schedule:
     O(n log n) sort. When the two are equidistant, the side from which
     finishing is cheaper wins (equal cost resolves to the lower track); this
     lookahead makes total_seek independent of translation and reflection of
-    the instance. It is memoized on the walk state, so exact ties cost at
-    most O(n^2) states, each priced by one walk.
+    the instance. It is memoized on the walk state, and a tie state has the
+    head at one end of the serviced block, so there are at most two tie
+    states per distinct track: the walks cost O(d · log span · log n) after
+    the sort, where d is the number of distinct tracks (see _finish_cost).
     """
     t = sorted(queue)
     hi = bisect_left(t, head)
@@ -142,16 +149,12 @@ def schedule_sstf(queue: Sequence[Track], head: Track) -> Schedule:
         order.append(state[2])
 
 
-def _sweep_direction(h: Track, below: list[Track], above: list[Track]) -> int:
-    """+1 for an upward sweep, -1 for downward, given the sorted pending
-    tracks on each side. See the module docstring."""
+def _sweeps_up(h: Track, below: list[Track], above: list[Track]) -> bool:
+    """Whether the sweep goes up first, given the sorted pending tracks on
+    each side. See the module docstring."""
     if len(above) != len(below):
-        return 1 if len(above) > len(below) else -1
-    up_leg = above[-1] - h
-    down_leg = h - below[0]
-    if up_leg != down_leg:
-        return 1 if up_leg < down_leg else -1
-    return 1
+        return len(above) > len(below)
+    return above[-1] - h <= h - below[0]
 
 
 def _sweep(
@@ -177,7 +180,7 @@ def _sweep(
     if not below and not above:
         return Schedule(name, head, tuple(tracks))
     g = geometry if geometry is not None else DiskGeometry()
-    if _sweep_direction(head, below, above) > 0:
+    if _sweeps_up(head, below, above):
         first, back, near, far = tracks[lo:], below[::-1], g.max_track, g.min_track
     else:
         first, back, near, far = tracks[:hi][::-1], above, g.min_track, g.max_track

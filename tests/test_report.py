@@ -234,6 +234,11 @@ def test_campaign_rejects_max_n_outside_oracle_bound(bad_n):
         run_property_campaign(5, max_n=bad_n)
 
 
+def test_campaign_accepts_its_smallest_run():
+    summary = run_property_campaign(1, max_n=1)
+    assert (summary.trials, summary.max_n, summary.passes) == (1, 1, 1)
+
+
 def test_campaign_rejects_nonpositive_trials():
     with pytest.raises(SchedulingError):
         run_property_campaign(0)
@@ -419,10 +424,38 @@ def _json_reports(draw):
 @example((run_comparison(validate_instance((), 5), TransferModel(), EVERY_ALGORITHM), False))
 @example((case_report(1, EVERY_ALGORITHM), True))
 @example((run_comparison(validate_instance((), 5), TransferModel(), None, 2), True))
+# Scalars that are not plain ints, names that need escaping, and no rows.
+@example((ComparisonReport(validate_instance((2,), 5), TransferModel(),
+                           (Schedule("FIFO", 5, (True, 2)), Schedule("SSTF", 5, (1.5, 2)))), False))
+@example((ComparisonReport(validate_instance((1,), 5), TransferModel(),
+                           (Schedule('"\\\x00\u00e9', 5, (1,)),), 1), True))
+@example((run_comparison(validate_instance((1, 2), 5), TransferModel(), ()), False))
 def test_table_json_matches_json_dumps(drawn):
     report, include_published = drawn
     text = emit(report, "json", include_published=include_published)
     assert text == _reference_table_json(report, include_published)
+
+
+def _json_dumps_calls(value):
+    """How many times ``emit(value, "json")`` calls json.dumps."""
+    dumps, calls = json.dumps, [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return dumps(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(json, "dumps", counting)
+        emit(value, "json")
+    return calls[0]
+
+
+def test_json_renders_plain_int_lists_without_a_json_dumps_call_per_int():
+    # Plain ints fill their "%s" slots as they are: json.dumps runs per key
+    # and per other scalar, so its call count does not grow with the queue.
+    small, large = (run_comparison(validate_instance(tuple(range(k)), 5)) for k in (3, 150))
+    assert _json_dumps_calls(small) == _json_dumps_calls(large)
+    assert _json_dumps_calls(small.rows) == _json_dumps_calls(large.rows)
 
 
 _named_series = st.lists(

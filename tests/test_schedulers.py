@@ -10,7 +10,7 @@ import time
 from bisect import bisect_left, bisect_right
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seeksim import schedulers
@@ -187,6 +187,9 @@ tie_heavy_queues = st.lists(
 
 @settings(max_examples=400, deadline=None)
 @given(tie_heavy_queues, st.integers(95, 105))
+# A lookahead that adds a constant to every walk it prices serves 4, 3, 1
+# first here and totals 11 instead of 10.
+@example([1, 3, 4, 6, 8, 8, 8, 8, 8], 5)
 def test_sstf_matches_recursive_reference(queue, head):
     total, order = _reference_sstf_run(head, sorted(queue))
     s = schedule_sstf(queue, head)
@@ -352,6 +355,50 @@ def test_sstf_walk_jumps_stay_within_the_stated_bound(family, data):
 
         mp.setattr(schedulers, "_walk", checked_walk)
         schedule_sstf(queue, head)
+
+
+def _memo_peak(queue, head):
+    """The most entries the SSTF lookahead's memo holds while scheduling."""
+    finish_cost, peak = schedulers._finish_cost, [0]
+
+    def recording(t, state, memo):
+        cost = finish_cost(t, state, memo)
+        peak[0] = max(peak[0], len(memo))
+        return cost
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schedulers, "_finish_cost", recording)
+        schedule_sstf(queue, head)
+    return peak[0]
+
+
+@pytest.mark.parametrize("family", sorted(sstf_families))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_sstf_memo_stays_within_the_stated_bound(family, data):
+    # _finish_cost's docstring: at most two tie states per distinct track and
+    # two priced branches per tie.
+    queue, head = data.draw(sstf_families[family])
+    assert _memo_peak(queue, head) <= 4 * len(set(queue)) + 4
+
+
+def test_sstf_tie_chain_memo_is_linear_in_distinct_tracks():
+    queue, head = _cluster_chain(4 * 10**4, 400)
+    assert _memo_peak(queue, head) <= 4 * len(set(queue)) + 4
+
+
+@pytest.mark.parametrize("up", (True, False))
+def test_sstf_serves_a_run_with_one_bisect(up):
+    # A thousand requests in a row next to the head and one far away on the
+    # other side: the run is one jump, where a walk that stepped one request
+    # at a time would take a thousand bisects.
+    head, sign = 10**6, 1 if up else -1
+    queue = [head + sign * i for i in range(1, 1001)] + [head - sign * head]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_bisects(mp)
+        s = schedule_sstf(queue, head)
+    assert s.service_order[:1000] == tuple(queue[:1000])
+    assert calls[0] <= 2  # the starting position and the one jump
 
 
 def test_sstf_tie_chain_bisects_grow_with_the_chain_not_the_cluster():
