@@ -1,22 +1,14 @@
 """seeksim: disk-arm scheduling simulation and comparison."""
 
-from .metrics import (
-    EmptyScheduleError,
-    MetricOverflowError,
-    average_seek,
-    display,
-    rotational_overhead,
-    transfer_time,
-)
+from .metrics import average_seek, display, transfer_time
 from .model import (
     DiskGeometry,
-    EmptyGeometryError,
     Instance,
-    InvalidModelError,
     OutOfRangeError,
     Schedule,
     SchedulingError,
     TransferModel,
+    rotational_overhead,
     validate_instance,
 )
 from .report import (
@@ -30,7 +22,6 @@ from .report import (
     run_schedule,
 )
 from .schedulers import (
-    QueueTooLargeError,
     brute_force_optimal,
     schedule_cscan,
     schedule_fifo,
@@ -41,9 +32,7 @@ from .schedulers import (
 )
 from .workload import (
     BENCHMARK_CASES,
-    NegativeTrackError,
     ParseError,
-    UnknownCaseError,
     generate,
     parse_requests,
     reference_case,
@@ -58,20 +47,13 @@ __all__ = [
     "CampaignSummary",
     "ComparisonReport",
     "DiskGeometry",
-    "EmptyGeometryError",
-    "EmptyScheduleError",
     "Instance",
-    "InvalidModelError",
-    "MetricOverflowError",
     "OutOfRangeError",
     "ParseError",
-    "NegativeTrackError",
     "PUBLISHED_TABLES",
-    "QueueTooLargeError",
     "Schedule",
     "SchedulingError",
     "TransferModel",
-    "UnknownCaseError",
     "average_seek",
     "brute_force_optimal",
     "display",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable
 
 from .model import (
     DEFAULT_BYTES_PER_TRACK,
@@ -51,21 +52,21 @@ _ALGO_TOKENS = {
 }
 
 
-def _int(text: str) -> int:
-    """argparse type for integer flags: like ``int``, but a rejected value is
-    echoed cut to a short prefix, not in full."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
+def _number(convert: Callable[[str], float]) -> Callable[[str], float]:
+    """argparse type for number flags: like ``convert`` (``int`` or
+    ``float``), but a rejected value is echoed cut to a short prefix, not in
+    full."""
+    def parse(text: str) -> float:
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {_echo(text)}"
+            ) from None
+    return parse
 
 
-def _float(text: str) -> float:
-    """argparse type for float flags, echoing a rejected value like ``_int``."""
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {_echo(text)}") from None
+_int = _number(int)
 
 
 def _case(text: str) -> int:
@@ -112,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bytes per track (default %(default)s)",
     )
     run.add_argument(
-        "--rps", type=_float, default=DEFAULT_ROTATION_SPEED,
+        "--rps", type=_number(float), default=DEFAULT_ROTATION_SPEED,
         help="rotation speed, rev/s (default %(default)s)",
     )
     run.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -14,23 +14,15 @@ import math
 from .model import Schedule, SchedulingError, TransferModel, rotational_overhead
 
 
-class EmptyScheduleError(SchedulingError):
-    """Average seek is undefined for zero requests."""
-
-
-class MetricOverflowError(SchedulingError):
-    """A metric is too large to be represented as a float."""
-
-
 def average_seek(schedule: Schedule) -> float:
     """Total seek divided by the number of requests."""
     n = len(schedule.service_order)
     if n < 1:
-        raise EmptyScheduleError("average seek undefined for an empty schedule")
+        raise SchedulingError("average seek undefined for an empty schedule")
     try:
         return schedule.total_seek / n
     except OverflowError:
-        raise MetricOverflowError("average seek overflows a float") from None
+        raise SchedulingError("average seek overflows a float") from None
 
 
 def transfer_time(avg_seek: float, model: TransferModel) -> float:
@@ -38,7 +30,7 @@ def transfer_time(avg_seek: float, model: TransferModel) -> float:
         raise SchedulingError(f"average seek must be non-negative, got {avg_seek}")
     total = avg_seek + rotational_overhead(model)
     if total == math.inf:
-        raise MetricOverflowError("transfer time overflows a float")
+        raise SchedulingError("transfer time overflows a float")
     return total
 
 

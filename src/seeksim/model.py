@@ -25,11 +25,8 @@ DEFAULT_ROTATION_SPEED = 120.0
 
 
 class SchedulingError(ValueError):
-    """Base class for all seeksim input errors."""
-
-
-class EmptyGeometryError(SchedulingError):
-    """min_track >= max_track."""
+    """Every seeksim input error; the message names the check that failed.
+    ParseError and OutOfRangeError add data about the offending input."""
 
 
 _ECHO_LIMIT = 20
@@ -58,10 +55,6 @@ class OutOfRangeError(SchedulingError):
             f"track(s) {tracks} outside geometry "
             f"[{_echo(str(geometry.min_track))}, {_echo(str(geometry.max_track))}]"
         )
-
-
-class InvalidModelError(SchedulingError):
-    """Transfer-model constant is not finite and strictly positive."""
 
 
 class _Frozen:
@@ -98,7 +91,7 @@ class DiskGeometry(_Frozen):
 
     def __init__(self, min_track: Track = DEFAULT_MIN_TRACK, max_track: Track = DEFAULT_MAX_TRACK):
         if min_track >= max_track:
-            raise EmptyGeometryError(
+            raise SchedulingError(
                 f"min_track ({_echo(str(min_track))}) must be "
                 f"< max_track ({_echo(str(max_track))})"
             )
@@ -126,13 +119,13 @@ class TransferModel(_Frozen):
         )
         for name, value in zip(self._fields, self._values()):
             if not 0 < value < math.inf:
-                raise InvalidModelError(f"{name} must be finite and positive, got {value}")
+                raise SchedulingError(f"{name} must be finite and positive, got {value}")
         try:
             finite = rotational_overhead(self) < math.inf
         except OverflowError:
             finite = False
         if not finite:
-            raise InvalidModelError("rotational overhead 1/(2R) + B/(R*N) overflows a float")
+            raise SchedulingError("rotational overhead 1/(2R) + B/(R*N) overflows a float")
 
 
 def rotational_overhead(model: TransferModel) -> float:
@@ -199,7 +192,7 @@ class Instance(_Frozen):
 def validate_instance(
     queue: Sequence[Track],
     head: Track,
-    geometry: DiskGeometry | None = None,
+    geometry: DiskGeometry = DiskGeometry(),
 ) -> Instance:
     """Check every request and the head against the geometry.
 
@@ -208,10 +201,10 @@ def validate_instance(
     Instance, so validation is idempotent. An empty queue is legal.
     """
     q = tuple(queue)
-    g = geometry if geometry is not None else DiskGeometry()
-    if (q and not (g.contains(min(q)) and g.contains(max(q)))) or not g.contains(head):
-        offending = [t for t in q if not g.contains(t)]
-        if not g.contains(head):
+    contains = geometry.contains
+    if (q and not (contains(min(q)) and contains(max(q)))) or not contains(head):
+        offending = [t for t in q if not contains(t)]
+        if not contains(head):
             offending.append(head)
-        raise OutOfRangeError(offending, g)
-    return Instance(q, head, g)
+        raise OutOfRangeError(offending, geometry)
+    return Instance(q, head, geometry)

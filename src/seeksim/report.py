@@ -105,35 +105,26 @@ class ComparisonReport(_Frozen):
     ):
         self.__dict__.update(instance=instance, model=model, rows=rows, case_id=case_id)
 
-    def row(self, algorithm: str) -> Schedule:
-        for r in self.rows:
-            if r.algorithm == algorithm:
-                return r
-        raise KeyError(algorithm)
-
 
 def _normalize_selection(algorithms: Iterable[str] | None) -> tuple[str, ...]:
     if algorithms is None:
         return ALGORITHM_ORDER
+    known = (*ALGORITHM_ORDER, ORACLE_NAME)
     requested = set(algorithms)
-    unknown = requested - set(ALGORITHM_ORDER) - {ORACLE_NAME}
+    unknown = requested.difference(known)
     if unknown:
         raise SchedulingError(f"unknown algorithm(s): {', '.join(sorted(unknown))}")
-    ordered = [n for n in ALGORITHM_ORDER if n in requested]
-    if ORACLE_NAME in requested:
-        ordered.append(ORACLE_NAME)
-    return tuple(ordered)
+    return tuple(n for n in known if n in requested)
 
 
 def run_comparison(
     instance: Instance,
-    model: TransferModel | None = None,
+    model: TransferModel = TransferModel(),
     algorithms: Iterable[str] | None = None,
     case_id: int | None = None,
 ) -> ComparisonReport:
     """Run the selected algorithms (default: all six). ``emit`` renders the
     report as a metric table, and its ``rows`` as head-path series."""
-    model = model if model is not None else TransferModel()
     rows = tuple(run_schedule(n, instance) for n in _normalize_selection(algorithms))
     return ComparisonReport(instance, model, rows, case_id)
 

@@ -24,12 +24,9 @@ from typing import Literal, Sequence
 
 from .model import DiskGeometry, Schedule, SchedulingError, Track
 
+# Larger queues are refused: the oracle's O(n^2) time and memory would grow
+# past a few seconds and megabytes.
 ORACLE_MAX_REQUESTS = 2000
-
-
-class QueueTooLargeError(SchedulingError):
-    """Queue exceeds the oracle bound, ORACLE_MAX_REQUESTS: the oracle's
-    O(n^2) time and memory would grow past a few seconds and megabytes."""
 
 
 def schedule_fifo(queue: Sequence[Track], head: Track) -> Schedule:
@@ -162,7 +159,7 @@ def _sweep(
     queue: Sequence[Track],
     head: Track,
     end: Literal["physical", "wrap", "request"],
-    geometry: DiskGeometry | None,
+    geometry: DiskGeometry = DiskGeometry(),
 ) -> Schedule:
     """The elevator sweep behind SCAN, C-SCAN and LOOK.
 
@@ -179,11 +176,10 @@ def _sweep(
     below, above = tracks[:lo], tracks[hi:]
     if not below and not above:
         return Schedule(name, head, tuple(tracks))
-    g = geometry if geometry is not None else DiskGeometry()
     if _sweeps_up(head, below, above):
-        first, back, near, far = tracks[lo:], below[::-1], g.max_track, g.min_track
+        first, back, near, far = tracks[lo:], below[::-1], geometry.max_track, geometry.min_track
     else:
-        first, back, near, far = tracks[:hi][::-1], above, g.min_track, g.max_track
+        first, back, near, far = tracks[:hi][::-1], above, geometry.min_track, geometry.max_track
     second = back[::-1] if end == "wrap" else back
     moves = []
     if end != "request" and first[-1] != near:
@@ -194,14 +190,14 @@ def _sweep(
     return Schedule(name, head, tuple(first + moves + second), idle)
 
 
-def schedule_scan(queue: Sequence[Track], head: Track, geometry: DiskGeometry | None = None) -> Schedule:
+def schedule_scan(queue: Sequence[Track], head: Track, geometry: DiskGeometry = DiskGeometry()) -> Schedule:
     """Elevator sweep: service everything in the chosen direction, run on to
     the physical disk end (an unserviced stop unless a request sits there),
     then reverse and stop at the last remaining request."""
     return _sweep("SCAN", queue, head, "physical", geometry)
 
 
-def schedule_cscan(queue: Sequence[Track], head: Track, geometry: DiskGeometry | None = None) -> Schedule:
+def schedule_cscan(queue: Sequence[Track], head: Track, geometry: DiskGeometry = DiskGeometry()) -> Schedule:
     """Circular sweep: like SCAN up to the physical end, then wrap to the
     opposite end at a cost of the full disk width and continue in the same
     direction, stopping at the last remaining request. The wrap landing is an
@@ -212,7 +208,7 @@ def schedule_cscan(queue: Sequence[Track], head: Track, geometry: DiskGeometry |
 def schedule_look(queue: Sequence[Track], head: Track) -> Schedule:
     """Like SCAN, but reverse at the extreme pending request instead of the
     physical end, so every stop services a request."""
-    return _sweep("LOOK", queue, head, "request", None)
+    return _sweep("LOOK", queue, head, "request")
 
 
 def schedule_odsa(queue: Sequence[Track], head: Track) -> Schedule:
@@ -246,10 +242,10 @@ def brute_force_optimal(queue: Sequence[Track], head: Track) -> Schedule:
     is the lowest optimal one, and stepping down reaches the lower track.
     The search never consults ODSA's closed form, so it can check it.
 
-    Raises QueueTooLargeError beyond ORACLE_MAX_REQUESTS requests.
+    Raises SchedulingError beyond ORACLE_MAX_REQUESTS requests.
     """
     if len(queue) > ORACLE_MAX_REQUESTS:
-        raise QueueTooLargeError(
+        raise SchedulingError(
             f"{len(queue)} requests exceed the oracle bound of {ORACLE_MAX_REQUESTS}"
         )
     t = sorted(queue)

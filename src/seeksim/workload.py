@@ -21,10 +21,6 @@ from typing import Sequence
 from .model import DiskGeometry, SchedulingError, _echo
 
 
-class UnknownCaseError(SchedulingError):
-    """Benchmark case id outside 1-3."""
-
-
 class ParseError(SchedulingError):
     """Malformed request file; carries 1-based line and column."""
 
@@ -32,10 +28,6 @@ class ParseError(SchedulingError):
         self.line = line
         self.column = column
         super().__init__(f"line {line}, column {column}: {message}")
-
-
-class NegativeTrackError(ParseError):
-    """Track numbers must be non-negative."""
 
 
 # The three published benchmark instances: (requests in arrival order, head).
@@ -51,22 +43,21 @@ def reference_case(case_id: int) -> tuple[tuple[int, ...], int, DiskGeometry]:
     try:
         tracks, head = BENCHMARK_CASES[case_id]
     except KeyError:
-        raise UnknownCaseError(f"unknown case {_echo(str(case_id))}; choose 1, 2 or 3") from None
+        raise SchedulingError(f"unknown case {_echo(str(case_id))}; choose 1, 2 or 3") from None
     return tracks, head, DiskGeometry()
 
 
-def generate(count: int, geometry: DiskGeometry | None = None, seed: int = 0) -> tuple[int, ...]:
-    """Draw ``count`` tracks uniformly over the geometry (default
-    ``DiskGeometry()``), inclusive of both bounds. Deterministic per seed:
-    uses the stdlib Mersenne Twister (random.Random), whose integer draws are
-    stable across builds for a given CPython random-module implementation."""
+def generate(count: int, geometry: DiskGeometry = DiskGeometry(), seed: int = 0) -> tuple[int, ...]:
+    """Draw ``count`` tracks uniformly over the geometry, inclusive of both
+    bounds. Deterministic per seed: uses the stdlib Mersenne Twister
+    (random.Random), whose integer draws are stable across builds for a
+    given CPython random-module implementation."""
     if count < 1:
         raise SchedulingError(f"count must be >= 1, got {count}")
     if not 0 <= seed < 2**64:
         raise SchedulingError("seed must fit in 64 unsigned bits")
-    g = geometry if geometry is not None else DiskGeometry()
     rng = random.Random(seed)
-    return tuple(rng.randint(g.min_track, g.max_track) for _ in range(count))
+    return tuple(rng.randint(geometry.min_track, geometry.max_track) for _ in range(count))
 
 
 _HEAD_DIRECTIVE = re.compile(r"^head\b")
@@ -77,7 +68,7 @@ def parse_requests(text: str) -> tuple[tuple[int, ...], int | None]:
     """Parse request file text into a queue and the optional head position.
 
     Raises ParseError (with line/column) on non-integer tokens, a misplaced
-    or repeated head directive, or negative tracks (NegativeTrackError).
+    or repeated head directive, or negative tracks.
     """
     tracks: list[int] = []
     head: int | None = None
@@ -85,7 +76,7 @@ def parse_requests(text: str) -> tuple[tuple[int, ...], int | None]:
     end = 0
     for lineno, raw in enumerate(text.splitlines(keepends=True), start=1):
         start, end = end, end + len(raw)
-        line = raw.split("#", 1)[0]
+        line = raw.partition("#")[0]
         stripped = line.strip()
         if not stripped:
             continue
@@ -125,7 +116,7 @@ def _parse_track(token: str, line: int, column: int) -> int:
     except ValueError:
         raise ParseError(f"expected an integer track, got {_echo(token)}", line, column) from None
     if value < 0:
-        raise NegativeTrackError(f"track must be non-negative, got {_echo(token)}", line, column)
+        raise ParseError(f"track must be non-negative, got {_echo(token)}", line, column)
     return value
 
 

@@ -63,7 +63,7 @@ def case_report(case_id):
 def check_table(case_id):
     report, n = case_report(case_id)
     for name, (avg_text, transfer_text) in TABLES[case_id].items():
-        row = report.row(name)
+        row = next(r for r in report.rows if r.algorithm == name)
         # averages must match as exact rationals
         assert Fraction(row.total_seek, n) == Fraction(avg_text), name
         assert average_seek(row) == float(Fraction(avg_text)), name

@@ -276,6 +276,26 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert "first counterexample" in out
 
 
+def test_verify_prints_each_failed_check(capsys, monkeypatch):
+    # A wrong scheduler makes real counterexamples: this SSTF drops the first
+    # request it serves, so every trial fails its permutation check.
+    from seeksim import report
+    from seeksim.model import Schedule
+
+    sstf = report._BUILDERS["SSTF"]
+    monkeypatch.setitem(
+        report._BUILDERS, "SSTF", lambda inst: Schedule("SSTF", inst.head, sstf(inst).stops[1:])
+    )
+    code, out, err = run_cli(capsys, "verify", "--trials", "5", "--seed", "4")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[:2] == ["trials=5 seed=4 max_n=8", "passes=0 failures=5"]
+    checks = lines[2:-1]
+    assert "failed check permutation:SSTF: 5" in checks
+    assert checks == sorted(checks) and all(line.startswith("failed check ") for line in checks)
+    assert lines[-1].startswith("first counterexample: {'queue': [")
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "seeksim", "run", "--case", "1", "--algo", "odsa"],

@@ -63,14 +63,11 @@ def test_table_output_loads_only_what_it_uses():
 
 PUBLIC_NAMES = [
     "ALGORITHM_ORDER", "BENCHMARK_CASES", "CampaignSummary", "ComparisonReport", "DiskGeometry",
-    "EmptyGeometryError", "EmptyScheduleError", "Instance", "InvalidModelError",
-    "MetricOverflowError", "NegativeTrackError", "OutOfRangeError", "PUBLISHED_TABLES",
-    "ParseError", "QueueTooLargeError", "Schedule", "SchedulingError", "TransferModel",
-    "UnknownCaseError", "average_seek", "brute_force_optimal", "display", "emit", "generate",
-    "parse_requests", "reference_case", "render_requests", "rotational_overhead",
-    "run_comparison", "run_property_campaign", "run_schedule", "schedule_cscan", "schedule_fifo",
-    "schedule_look", "schedule_odsa", "schedule_scan", "schedule_sstf", "transfer_time",
-    "validate_instance",
+    "Instance", "OutOfRangeError", "PUBLISHED_TABLES", "ParseError", "Schedule", "SchedulingError",
+    "TransferModel", "average_seek", "brute_force_optimal", "display", "emit", "generate",
+    "parse_requests", "reference_case", "render_requests", "rotational_overhead", "run_comparison",
+    "run_property_campaign", "run_schedule", "schedule_cscan", "schedule_fifo", "schedule_look",
+    "schedule_odsa", "schedule_scan", "schedule_sstf", "transfer_time", "validate_instance",
 ]
 
 
@@ -84,11 +81,13 @@ def test_public_names_are_pinned():
     "name",
     [
         "HeadPathSeries", "OdsaPlan", "plan_odsa", "MetricRow", "WorkloadSpec", "CampaignFailure",
-        "head_path_series",
+        "head_path_series", "EmptyGeometryError", "InvalidModelError", "EmptyScheduleError",
+        "MetricOverflowError", "QueueTooLargeError", "UnknownCaseError", "NegativeTrackError",
     ],
 )
 def test_removed_names_stay_gone(name):
     for module in (
-        seeksim, seeksim.metrics, seeksim.report, seeksim.schedulers, seeksim.workload,
+        seeksim, seeksim.model, seeksim.metrics, seeksim.report, seeksim.schedulers,
+        seeksim.workload,
     ):
         assert not hasattr(module, name)

@@ -2,11 +2,11 @@ import pytest
 
 from seeksim.model import (
     DiskGeometry,
-    EmptyGeometryError,
-    InvalidModelError,
     OutOfRangeError,
     Schedule,
+    SchedulingError,
     TransferModel,
+    _echo,
     validate_instance,
 )
 
@@ -21,7 +21,7 @@ def test_default_geometry_bounds():
 
 @pytest.mark.parametrize("lo,hi", [(5, 5), (10, 3)])
 def test_geometry_rejects_empty_range(lo, hi):
-    with pytest.raises(EmptyGeometryError):
+    with pytest.raises(SchedulingError, match=r"^min_track \('\d+'\) must be < max_track"):
         DiskGeometry(lo, hi)
 
 
@@ -44,7 +44,7 @@ def test_transfer_model_defaults():
     ],
 )
 def test_transfer_model_rejects_nonpositive(kwargs):
-    with pytest.raises(InvalidModelError):
+    with pytest.raises(SchedulingError, match="must be finite and positive|overhead .* overflows"):
         TransferModel(**kwargs)
 
 
@@ -70,6 +70,27 @@ def test_validate_reports_every_offender():
     with pytest.raises(OutOfRangeError) as err:
         validate_instance([181, 50, 999], 200)
     assert err.value.offending == (181, 999, 200)
+
+
+@pytest.mark.parametrize("queue,offending", [([15, 9, 20], (9,)), ([15, 10, 21], (21,))])
+def test_validate_checks_both_ends_of_the_queue(queue, offending):
+    with pytest.raises(OutOfRangeError) as err:
+        validate_instance(queue, 12, DiskGeometry(10, 20))
+    assert err.value.offending == offending
+
+
+@pytest.mark.parametrize(
+    "count,names", [(3, "'181', '182', '183'"), (5, "'181', '182', '183' and 2 more")]
+)
+def test_out_of_range_message_names_the_first_three(count, names):
+    with pytest.raises(OutOfRangeError) as err:
+        validate_instance(range(181, 181 + count), 45)
+    assert str(err.value) == f"track(s) {names} outside geometry ['0', '180']"
+
+
+def test_echo_cuts_only_tokens_past_the_limit():
+    assert _echo("7" * 20) == repr("7" * 20)
+    assert _echo("7" * 21) == repr("7" * 20) + "... (21 characters)"
 
 
 def test_validate_is_idempotent():

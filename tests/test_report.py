@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seeksim.metrics import EmptyScheduleError, average_seek, display, transfer_time
+from seeksim import report as report_module
+from seeksim.metrics import average_seek, display, transfer_time
 from seeksim.model import DiskGeometry, Schedule, SchedulingError, TransferModel, validate_instance
 from seeksim.report import (
     ALGORITHM_ORDER,
@@ -75,7 +76,7 @@ def test_case1_totals_match_reference_tables():
 def test_selection_subset_and_oracle_row():
     report = run_comparison(case_instance(1), algorithms=["ODSA", "OPTIMAL", "FIFO"])
     assert tuple(r.algorithm for r in report.rows) == ("FIFO", "ODSA", "OPTIMAL")
-    assert report.row("OPTIMAL").total_seek == 195
+    assert report.rows[-1].total_seek == 195
 
 
 def test_unknown_algorithm_rejected():
@@ -87,7 +88,7 @@ def test_empty_queue_rows_have_no_averages():
     report = run_comparison(validate_instance([], 45))
     for row in report.rows:
         assert row.total_seek == 0
-        with pytest.raises(EmptyScheduleError):
+        with pytest.raises(SchedulingError, match="^average seek undefined for an empty schedule$"):
             average_seek(row)
     for line in emit(report).splitlines()[1:]:
         assert line.split(",")[1:] == ["0", "", "", "", "", ""]
@@ -242,6 +243,59 @@ def test_campaign_accepts_its_smallest_run():
 def test_campaign_rejects_nonpositive_trials():
     with pytest.raises(SchedulingError):
         run_property_campaign(0)
+
+
+def test_campaign_seed_defaults_to_zero():
+    assert run_property_campaign(3) == run_property_campaign(3, seed=0)
+
+
+def test_campaign_accepts_max_n_at_the_oracle_bound():
+    # Seed 139's first trial draws 4 requests, so the oracle stays fast.
+    summary = run_property_campaign(1, seed=139, max_n=ORACLE_MAX_REQUESTS)
+    assert (summary.max_n, summary.passes) == (ORACLE_MAX_REQUESTS, 1)
+
+
+def _break_sstf_and_odsa(monkeypatch):
+    """Make the campaign's SSTF drop a request, and its ODSA start with an
+    unserviced stop far off the disk, on every queue of two or more requests.
+    Returns the list of instances the campaign's trials run on, in order."""
+    seen = []
+    sstf, odsa = report_module._BUILDERS["SSTF"], report_module._BUILDERS["ODSA"]
+
+    def broken_sstf(inst):
+        s = sstf(inst)
+        return Schedule("SSTF", s.start, s.stops[:-1]) if len(inst.queue) > 1 else s
+
+    def broken_odsa(inst):
+        seen.append(inst)
+        s = odsa(inst)
+        return Schedule("ODSA", s.start, (10**6,) + s.stops, (0,)) if len(inst.queue) > 1 else s
+
+    monkeypatch.setitem(report_module._BUILDERS, "SSTF", broken_sstf)
+    monkeypatch.setitem(report_module._BUILDERS, "ODSA", broken_odsa)
+    return seen
+
+
+# What a trial on two or more requests fails with the builders above: the
+# excursion puts ODSA above the optimum and above every baseline.
+BROKEN_CHECKS = ["permutation:SSTF", "odsa-closed-form", "odsa-vs-oracle"] + [
+    f"dominance:{name}" for name in ALGORITHM_ORDER if name != "ODSA"
+]
+
+
+def test_campaign_counts_each_failing_trial_and_check(monkeypatch):
+    seen = _break_sstf_and_odsa(monkeypatch)
+    summary = run_property_campaign(40, seed=2)
+    failing = [inst for inst in seen if len(inst.queue) > 1]
+    # Seed 2's first trial has one request and passes; later ones fail.
+    assert len(seen) == 40 and len(seen[0].queue) == 1 and 1 < len(failing) < 39
+    assert (summary.passes, summary.failures) == (40 - len(failing), len(failing))
+    assert summary.check_failures == dict.fromkeys(BROKEN_CHECKS, len(failing))
+    assert "dominance:ODSA" not in summary.check_failures
+    first = failing[0]
+    assert summary.first_counterexample == {
+        "queue": list(first.queue), "head": first.head, "checks": BROKEN_CHECKS,
+    }
 
 
 EVERY_ALGORITHM = ALGORITHM_ORDER + (ORACLE_NAME,)

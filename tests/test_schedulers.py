@@ -14,10 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seeksim import schedulers
-from seeksim.model import DiskGeometry
+from seeksim.model import DiskGeometry, SchedulingError
 from seeksim.schedulers import (
     ORACLE_MAX_REQUESTS,
-    QueueTooLargeError,
     brute_force_optimal,
     schedule_cscan,
     schedule_fifo,
@@ -635,7 +634,7 @@ def test_oracle_empty_queue():
 
 
 def test_oracle_rejects_queue_over_bound():
-    with pytest.raises(QueueTooLargeError):
+    with pytest.raises(SchedulingError, match="^2001 requests exceed the oracle bound of 2000$"):
         brute_force_optimal(list(range(ORACLE_MAX_REQUESTS + 1)), 45)
 
 

@@ -14,9 +14,7 @@ import pytest
 from seeksim import model
 from seeksim.model import (
     DiskGeometry,
-    EmptyGeometryError,
     Instance,
-    InvalidModelError,
     Schedule,
     SchedulingError,
     TransferModel,
@@ -159,15 +157,15 @@ def test_values_survive_pickle_and_copy(cls, args, field, other, text):
 @pytest.mark.parametrize(
     "make,error,message",
     [
-        (lambda: DiskGeometry(5, 5), EmptyGeometryError,
+        (lambda: DiskGeometry(5, 5), SchedulingError,
          "min_track ('5') must be < max_track ('5')"),
-        (lambda: DiskGeometry(max_track=-1), EmptyGeometryError,
+        (lambda: DiskGeometry(max_track=-1), SchedulingError,
          "min_track ('0') must be < max_track ('-1')"),
-        (lambda: TransferModel(bytes_to_transfer=0), InvalidModelError,
+        (lambda: TransferModel(bytes_to_transfer=0), SchedulingError,
          "bytes_to_transfer must be finite and positive, got 0"),
-        (lambda: TransferModel(rotation_speed=float("nan")), InvalidModelError,
+        (lambda: TransferModel(rotation_speed=float("nan")), SchedulingError,
          "rotation_speed must be finite and positive, got nan"),
-        (lambda: TransferModel(rotation_speed=1e-320), InvalidModelError,
+        (lambda: TransferModel(rotation_speed=1e-320), SchedulingError,
          "rotational overhead 1/(2R) + B/(R*N) overflows a float"),
         (lambda: generate(0), SchedulingError, "count must be >= 1, got 0"),
         (lambda: generate(1, seed=-1), SchedulingError, "seed must fit in 64 unsigned bits"),

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seeksim.model import DiskGeometry
+from seeksim import workload
+from seeksim.model import DiskGeometry, SchedulingError
 from seeksim.workload import (
-    NegativeTrackError,
     ParseError,
-    UnknownCaseError,
     _parse_track,
     generate,
     parse_requests,
@@ -32,12 +31,12 @@ def test_case2_and_case3_heads():
 
 @pytest.mark.parametrize("bad", [0, 4, -1])
 def test_unknown_case_rejected(bad):
-    with pytest.raises(UnknownCaseError):
+    with pytest.raises(SchedulingError, match=r"^unknown case '-?\d'; choose 1, 2 or 3$"):
         reference_case(bad)
 
 
 def test_unknown_case_error_is_short():
-    with pytest.raises(UnknownCaseError) as err:
+    with pytest.raises(SchedulingError, match="^unknown case ") as err:
         reference_case(int("7" * 4000))
     assert len(str(err.value)) < 100 and "4000 characters" in str(err.value)
 
@@ -52,6 +51,11 @@ def test_workload_spec_rejects_seed_beyond_64_bits():
         generate(count=3, seed=2**64)
     with pytest.raises(ValueError):
         generate(count=3, seed=-1)
+
+
+def test_generate_accepts_its_smallest_count_and_seed():
+    assert len(generate(1, seed=0)) == 1
+    assert generate(8) == generate(8, seed=0)
 
 
 def test_generate_is_deterministic_per_seed():
@@ -92,13 +96,29 @@ def test_parse_rejects_non_integer_token():
     assert err.value.column == 4
 
 
+@pytest.mark.parametrize(
+    "text,converted",
+    [
+        # A comment would make the one split fail, so it is not tried.
+        ("head 5\n1 2\n3 # c\n", ["5", "1", "2", "3"]),
+        # Without one the body is one split, and track 0 passes it.
+        ("head 5\n0 1\n", ["5", "0", "1"]),
+    ],
+)
+def test_parse_converts_each_token_once(monkeypatch, text, converted):
+    calls = []
+    monkeypatch.setattr(workload, "int", lambda s: calls.append(s) or int(s), raising=False)
+    parse_requests(text)
+    assert calls == converted
+
+
 def test_parse_rejects_fractional_track():
     with pytest.raises(ParseError):
         parse_requests("4.5")
 
 
 def test_parse_rejects_negative_track():
-    with pytest.raises(NegativeTrackError) as err:
+    with pytest.raises(ParseError, match="track must be non-negative, got '-3'$") as err:
         parse_requests("10\n-3")
     assert err.value.line == 2
 
