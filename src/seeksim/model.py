@@ -184,15 +184,16 @@ class Instance(_Frozen):
 
     @cached_property
     def tracks(self) -> tuple[Track, ...]:
-        """The queue in ascending order, sorted once per instance. Every
-        scheduler but FIFO depends only on this multiset."""
-        return tuple(sorted(self.queue))
+        """The queue in ascending order, sorted once per instance and laid
+        out in that order in memory, so each pass over it reads memory in
+        sequence. Every scheduler but FIFO depends only on this multiset."""
+        # Parsed ints lie in memory in arrival order; fresh copies of the exact
+        # ints, made in sorted order, are read in sequence. Others stay as is.
+        return tuple([t + 0 if t.__class__ is int else t for t in sorted(self.queue)])
 
 
 def validate_instance(
-    queue: Sequence[Track],
-    head: Track,
-    geometry: DiskGeometry = DiskGeometry(),
+    queue: Sequence[Track], head: Track, geometry: DiskGeometry = DiskGeometry()
 ) -> Instance:
     """Check every request and the head against the geometry.
 

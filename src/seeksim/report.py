@@ -38,7 +38,8 @@ ORACLE_NAME = "OPTIMAL"
 _BUILDERS: dict[str, Callable[[Instance], Schedule]] = {
     "FIFO": lambda inst: schedule_fifo(inst.queue, inst.head),
     # The others depend only on the multiset of requests, so they take the
-    # instance's sorted tracks and their own sort runs in linear time.
+    # instance's sorted tracks, laid out in sorted order in memory so each
+    # pass reads it in sequence, and their own sort runs in linear time.
     "SSTF": lambda inst: schedule_sstf(inst.tracks, inst.head),
     "SCAN": lambda inst: schedule_scan(inst.tracks, inst.head, inst.geometry),
     "C-SCAN": lambda inst: schedule_cscan(inst.tracks, inst.head, inst.geometry),
@@ -345,9 +346,7 @@ def _check_trial(queue: list[int], head: int, geometry: DiskGeometry) -> list[st
 
 
 def run_property_campaign(
-    trials: int,
-    seed: int = 0,
-    max_n: int = CAMPAIGN_MAX_N,
+    trials: int, seed: int = 0, max_n: int = CAMPAIGN_MAX_N
 ) -> CampaignSummary:
     """Check random instances against the exact optimal-order oracle.
 
@@ -362,7 +361,6 @@ def run_property_campaign(
         raise SchedulingError(f"max_n must be in [1, {ORACLE_MAX_REQUESTS}], got {max_n}")
     g = DiskGeometry()
     rng = random.Random(seed)
-    passes = 0
     failures = 0
     check_failures: dict[str, int] = {}
     first_counterexample = None
@@ -377,8 +375,5 @@ def run_property_campaign(
                 check_failures[name] = check_failures.get(name, 0) + 1
             if first_counterexample is None:
                 first_counterexample = {"queue": queue, "head": head, "checks": failed}
-        else:
-            passes += 1
-    return CampaignSummary(
-        trials, seed, max_n, passes, failures, check_failures, first_counterexample
-    )
+    return CampaignSummary(trials, seed, max_n, trials - failures, failures, check_failures,
+                           first_counterexample)

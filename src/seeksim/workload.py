@@ -122,7 +122,11 @@ def _parse_track(token: str, line: int, column: int) -> int:
 
 def render_requests(queue: Sequence[int], head: int | None = None) -> str:
     """Canonical request file text: optional head directive, then one track
-    per line. parse_requests inverts it exactly."""
+    per line. parse_requests inverts it exactly; a request file holds no
+    negative track, so a negative head or track raises SchedulingError."""
+    lowest = min(min(queue, default=0), head or 0)
+    if lowest < 0:
+        raise SchedulingError(f"a request file holds no negative track, got {_echo(str(lowest))}")
     lines = []
     if head is not None:
         lines.append(f"head {head}")

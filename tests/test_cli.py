@@ -248,6 +248,28 @@ def test_gen_writes_output_file(capsys, tmp_path):
     assert len(body.splitlines()) == 5
 
 
+def test_gen_and_verify_default_to_seed_0(capsys):
+    code, out, _ = run_cli(capsys, "gen", "--count", "6")
+    assert code == 0 and "seed=0 " in out.splitlines()[0]
+    assert out == run_cli(capsys, "gen", "--count", "6", "--seed", "0")[1]
+    code, out, _ = run_cli(capsys, "verify", "--trials", "3")
+    assert code == 0 and out.startswith("trials=3 seed=0 ")
+
+
+@pytest.mark.parametrize("head", ["0", "-3"])
+def test_gen_refuses_a_negative_track_before_writing(capsys, tmp_path, head):
+    # run could not read the file back, since request files hold no negative
+    # track; so gen exits 2 with one error line and creates no file.
+    path = tmp_path / "w.txt"
+    code, out, err = run_cli(
+        capsys, "gen", "--count", "5", "--seed", "1", "--min-track", "-10", "--max-track", "10",
+        "--head", head, "-o", str(path),
+    )
+    assert code == 2 and out == "" and not path.exists()
+    assert err.startswith("error: a request file holds no negative track, got '-")
+    assert err.count("\n") == 1
+
+
 def test_verify_success(capsys):
     code, out, _ = run_cli(capsys, "verify", "--trials", "40", "--seed", "11")
     assert code == 0

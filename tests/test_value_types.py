@@ -8,8 +8,11 @@ printed, so any code that logs or compares them sees the same text.
 import copy
 import inspect
 import pickle
+import platform
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from seeksim import model
 from seeksim.model import (
@@ -215,3 +218,33 @@ def test_tracks_are_sorted_once(monkeypatch):
     # The cached value is not a field: equality and repr ignore it.
     assert instance == validate_instance((25, 10, 151, 10), 45)
     assert "tracks" not in repr(instance)
+
+
+class _Track(int):
+    """An int subclass, as a library caller might pass."""
+
+
+@given(st.lists(st.one_of(
+    st.integers(-300, 10**6), st.booleans(), st.floats(-1e3, 1e6), st.integers(0, 999).map(_Track),
+)))
+@example([True, 1.5, _Track(300), 300, 1, 0.0, False, _Track(1)])
+def test_tracks_sort_the_queue_and_keep_each_type(queue):
+    tracks = Instance(tuple(queue), 0, DiskGeometry()).tracks
+    ordered = sorted(queue)
+    assert tracks == tuple(ordered)
+    # The sort is stable, so tracks[i] came from ordered[i]. Only exact ints
+    # are copied: a bool, float or int subclass is the caller's own object.
+    for t, source in zip(tracks, ordered):
+        assert type(t) is type(source)
+        assert t is source or type(t) is int
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython", reason="object identity of ints")
+def test_tracks_are_fresh_copies_of_the_queue_ints():
+    # CPython caches the ints up to 256, so only the larger ones can be
+    # fresh copies; a tracks that returned the queue's own objects fails.
+    queue = generate(500, DiskGeometry(0, 10**6), seed=7)
+    ids = set(map(id, queue))
+    large = [t for t in validate_instance(queue, 0, DiskGeometry(0, 10**6)).tracks if t > 256]
+    assert len(large) > 400
+    assert not any(id(t) in ids for t in large)

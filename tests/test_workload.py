@@ -148,6 +148,18 @@ def test_render_round_trip_with_head():
     assert parsed_head == head
 
 
+@pytest.mark.parametrize(
+    "queue, head, shown", [((3, -1, 5), 2, "'-1'"), ((3, 5), -4, "'-4'"), ((-2,), None, "'-2'")]
+)
+def test_render_refuses_a_negative_track(queue, head, shown):
+    with pytest.raises(SchedulingError, match=f"no negative track, got {shown}$"):
+        render_requests(queue, head)
+
+
+def test_render_accepts_track_and_head_0():
+    assert parse_requests(render_requests((0, 3), 0)) == ((0, 3), 0)
+
+
 def test_render_empty_queue():
     queue, head = parse_requests(render_requests(*parse_requests("")))
     assert len(queue) == 0 and head is None
