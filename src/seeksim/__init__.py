@@ -1,6 +1,5 @@
 """seeksim: disk-arm scheduling simulation and comparison."""
 
-from .metrics import average_seek, display, transfer_time
 from .model import (
     DiskGeometry,
     Instance,
@@ -8,7 +7,9 @@ from .model import (
     Schedule,
     SchedulingError,
     TransferModel,
+    average_seek,
     rotational_overhead,
+    transfer_time,
     validate_instance,
 )
 from .report import (
@@ -16,6 +17,7 @@ from .report import (
     CampaignSummary,
     ComparisonReport,
     PUBLISHED_TABLES,
+    display,
     emit,
     run_comparison,
     run_property_campaign,

@@ -1,5 +1,5 @@
-"""Core value types shared by every module: geometry, transfer constants,
-instances and schedules.
+"""Core value types shared by every module (geometry, transfer constants,
+instances and schedules) and the cost model that ranks schedules.
 
 Queues are tuples of int tracks in arrival order and heads are plain int
 tracks. All types are immutable classes compared by field, not dataclasses,
@@ -106,6 +106,9 @@ class TransferModel(_Frozen):
     ``transfer = average_seek + 1/(2R) + B/(R*N)``.
 
     B = bytes_to_transfer, N = bytes_per_track, R = rotation_speed (rev/s).
+    With the defaults the additive term is 961/80640 ~= 0.0119172. The
+    formula mixes units (tracks plus seconds); reference reports do the
+    same, so it is reproduced as-is rather than converted.
     """
 
     _fields = ("bytes_to_transfer", "bytes_per_track", "rotation_speed")
@@ -132,6 +135,26 @@ def rotational_overhead(model: TransferModel) -> float:
     """The constant 1/(2R) + B/(R*N) added to every average seek."""
     r = model.rotation_speed
     return 1.0 / (2.0 * r) + model.bytes_to_transfer / (r * model.bytes_per_track)
+
+
+def average_seek(schedule: Schedule) -> float:
+    """Total seek divided by the number of requests."""
+    n = len(schedule.service_order)
+    if n < 1:
+        raise SchedulingError("average seek undefined for an empty schedule")
+    try:
+        return schedule.total_seek / n
+    except OverflowError:
+        raise SchedulingError("average seek overflows a float") from None
+
+
+def transfer_time(avg_seek: float, model: TransferModel) -> float:
+    if not avg_seek >= 0:
+        raise SchedulingError(f"average seek must be non-negative, got {avg_seek}")
+    total = avg_seek + rotational_overhead(model)
+    if total == math.inf:
+        raise SchedulingError("transfer time overflows a float")
+    return total
 
 
 class Schedule(_Frozen):

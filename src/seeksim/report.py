@@ -1,17 +1,15 @@
-"""Comparison reports, text emitters for reports and head paths, and the
-randomized verification campaign.
+"""Running algorithms by name (``run_schedule``), comparison reports, text
+emitters for reports and head paths, and the randomized verification campaign.
 
 CSV and JSON carry the same numbers: full-precision values plus 5-decimal
-display fields rendered like the reference tables. Output is deterministic,
-so identical inputs give byte-identical text.
+display fields (``display``) rendered like the reference tables. Output is
+deterministic, so identical inputs give byte-identical text.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .metrics import average_seek, display, transfer_time
 from .model import (
     DiskGeometry,
     Instance,
@@ -19,6 +17,8 @@ from .model import (
     SchedulingError,
     TransferModel,
     _Frozen,
+    average_seek,
+    transfer_time,
     validate_instance,
 )
 from .schedulers import (
@@ -31,6 +31,7 @@ from .schedulers import (
     schedule_scan,
     schedule_sstf,
 )
+from .workload import _seeded_rng
 
 ALGORITHM_ORDER = ("FIFO", "SSTF", "SCAN", "C-SCAN", "LOOK", "ODSA")
 ORACLE_NAME = "OPTIMAL"
@@ -107,17 +108,6 @@ class ComparisonReport(_Frozen):
         self.__dict__.update(instance=instance, model=model, rows=rows, case_id=case_id)
 
 
-def _normalize_selection(algorithms: Iterable[str] | None) -> tuple[str, ...]:
-    if algorithms is None:
-        return ALGORITHM_ORDER
-    known = (*ALGORITHM_ORDER, ORACLE_NAME)
-    requested = set(algorithms)
-    unknown = requested.difference(known)
-    if unknown:
-        raise SchedulingError(f"unknown algorithm(s): {', '.join(sorted(unknown))}")
-    return tuple(n for n in known if n in requested)
-
-
 def run_comparison(
     instance: Instance,
     model: TransferModel = TransferModel(),
@@ -126,8 +116,34 @@ def run_comparison(
 ) -> ComparisonReport:
     """Run the selected algorithms (default: all six). ``emit`` renders the
     report as a metric table, and its ``rows`` as head-path series."""
-    rows = tuple(run_schedule(n, instance) for n in _normalize_selection(algorithms))
+    requested = set(ALGORITHM_ORDER if algorithms is None else algorithms)
+    unknown = requested.difference(_BUILDERS)
+    if unknown:
+        raise SchedulingError(f"unknown algorithm(s): {', '.join(sorted(unknown))}")
+    rows = tuple(run_schedule(n, instance) for n in _BUILDERS if n in requested)
     return ComparisonReport(instance, model, rows, case_id)
+
+
+_PLACES = 5
+
+
+def display(value: float | None) -> str:
+    """Table rendering of a metric: truncated toward zero at ``_PLACES``
+    decimals, trailing zeros dropped.
+
+    Truncation (not rounding) matches how the reference tables print the
+    rotational overhead: 24.3869171... appears as 24.38691.
+    """
+    if value is None:
+        return ""
+    from decimal import ROUND_DOWN, Context, Decimal  # slow to import; only tables need it
+    exact = Decimal(repr(value))
+    # Enough significant digits for every integer digit of a large value.
+    context = Context(prec=max(exact.adjusted(), 0) + 1 + _PLACES)
+    text = str(exact.quantize(Decimal(1).scaleb(-_PLACES), ROUND_DOWN, context))
+    if "." in text:
+        text = text.rstrip("0").rstrip(".")
+    return text
 
 
 _COLUMNS = ("algorithm", "total_seek", "average_seek", "transfer_time", "service_order",
@@ -327,17 +343,17 @@ class CampaignSummary(_Frozen):
 def _check_trial(queue: list[int], head: int, geometry: DiskGeometry) -> list[str]:
     failed = []
     instance = validate_instance(queue, head, geometry)
-    schedules = {name: run_schedule(name, instance) for name in ALGORITHM_ORDER}
-    want = sorted(queue)
-    for name, sched in schedules.items():
-        if sorted(sched.service_order) != want:
+    schedules = {name: run_schedule(name, instance) for name in _BUILDERS}
+    tracks = instance.tracks
+    for name in ALGORITHM_ORDER:
+        if tuple(sorted(schedules[name].service_order)) != tracks:
             failed.append(f"permutation:{name}")
     odsa = schedules["ODSA"].total_seek
-    lo, hi = min(queue), max(queue)
+    lo, hi = tracks[0], tracks[-1]
     closed_form = min(abs(head - lo), abs(head - hi)) + (hi - lo)
     if odsa != closed_form:
         failed.append("odsa-closed-form")
-    if odsa != brute_force_optimal(queue, head).total_seek:
+    if odsa != schedules[ORACLE_NAME].total_seek:
         failed.append("odsa-vs-oracle")
     for name in ALGORITHM_ORDER:
         if name != "ODSA" and odsa > schedules[name].total_seek:
@@ -359,8 +375,8 @@ def run_property_campaign(
         raise SchedulingError(f"trials must be >= 1, got {trials}")
     if not 1 <= max_n <= ORACLE_MAX_REQUESTS:
         raise SchedulingError(f"max_n must be in [1, {ORACLE_MAX_REQUESTS}], got {max_n}")
+    rng = _seeded_rng(seed)
     g = DiskGeometry()
-    rng = random.Random(seed)
     failures = 0
     check_failures: dict[str, int] = {}
     first_counterexample = None

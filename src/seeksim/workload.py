@@ -47,6 +47,12 @@ def reference_case(case_id: int) -> tuple[tuple[int, ...], int, DiskGeometry]:
     return tracks, head, DiskGeometry()
 
 
+def _seeded_rng(seed: int) -> random.Random:
+    if not 0 <= seed < 2**64:  # random.Random(-N) draws exactly Random(N)'s values
+        raise SchedulingError("seed must fit in 64 unsigned bits")
+    return random.Random(seed)
+
+
 def generate(count: int, geometry: DiskGeometry = DiskGeometry(), seed: int = 0) -> tuple[int, ...]:
     """Draw ``count`` tracks uniformly over the geometry, inclusive of both
     bounds. Deterministic per seed: uses the stdlib Mersenne Twister
@@ -54,9 +60,7 @@ def generate(count: int, geometry: DiskGeometry = DiskGeometry(), seed: int = 0)
     given CPython random-module implementation."""
     if count < 1:
         raise SchedulingError(f"count must be >= 1, got {count}")
-    if not 0 <= seed < 2**64:
-        raise SchedulingError("seed must fit in 64 unsigned bits")
-    rng = random.Random(seed)
+    rng = _seeded_rng(seed)
     return tuple(rng.randint(geometry.min_track, geometry.max_track) for _ in range(count))
 
 

@@ -15,12 +15,12 @@ Each mutant changes one site of the module's syntax tree:
 The repository's ``src/`` and ``tests/`` are copied to a temporary
 directory once; each mutant is written over the module there, and the test
 files run with ``pytest -x`` under a timeout. A failing run (a failed test,
-or a test file that no longer imports) or a timeout kills the mutant; a
-passing run lets it survive. A timing test that flakes under load counts as
-a kill too, so a high rate is an upper bound. One line per mutant goes to
-stdout, then the kill rate. The file has no ``test_`` prefix, so pytest
-does not collect it, and it needs only the stdlib and the test
-dependencies.
+a test file that no longer imports, or a pytest internal error) or a timeout
+kills the mutant; a passing run lets it survive. A timing test that flakes
+under load counts as a kill too, so a high rate is an upper bound. One line
+per mutant goes to stdout, then the kill rate. The file has no ``test_``
+prefix, so pytest does not collect it, and it needs only the stdlib and the
+test dependencies.
 """
 
 from __future__ import annotations
@@ -91,8 +91,10 @@ def _outcome(copy: Path, tests: list[str], timeout: float) -> str:
         )
     except subprocess.TimeoutExpired:
         return "timeout"
-    # pytest exits 1 when a test fails and 2 when a test file fails to import.
-    outcomes = {0: "survived", 1: "killed", 2: "killed"}
+    # pytest exits 1 when a test fails, 2 when a test file fails to import and
+    # 3 on an internal error, such as a mutant that runs main() on import. The
+    # unmutated run must pass first, so any of these comes from the mutant.
+    outcomes = {0: "survived", 1: "killed", 2: "killed", 3: "killed"}
     return outcomes.get(proc.returncode, f"error {proc.returncode}")
 
 

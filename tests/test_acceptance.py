@@ -12,9 +12,8 @@ import sys
 import time
 from fractions import Fraction
 
-from seeksim.metrics import average_seek, display, transfer_time
-from seeksim.model import TransferModel, validate_instance
-from seeksim.report import run_comparison, run_property_campaign
+from seeksim.model import TransferModel, average_seek, transfer_time, validate_instance
+from seeksim.report import display, run_comparison, run_property_campaign
 from seeksim.schedulers import (
     schedule_fifo,
     schedule_look,

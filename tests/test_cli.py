@@ -270,6 +270,14 @@ def test_gen_refuses_a_negative_track_before_writing(capsys, tmp_path, head):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_verify_refuses_a_seed_beyond_64_unsigned_bits(capsys, seed):
+    # random.Random(-1) would draw exactly the trials of seed 1.
+    code, out, err = run_cli(capsys, "verify", "--trials", "3", "--seed", seed)
+    assert code == 2 and out == ""
+    assert err == "error: seed must fit in 64 unsigned bits\n"
+
+
 def test_verify_success(capsys):
     code, out, _ = run_cli(capsys, "verify", "--trials", "40", "--seed", "11")
     assert code == 0

@@ -86,8 +86,10 @@ def test_public_names_are_pinned():
     ],
 )
 def test_removed_names_stay_gone(name):
-    for module in (
-        seeksim, seeksim.model, seeksim.metrics, seeksim.report, seeksim.schedulers,
-        seeksim.workload,
-    ):
+    for module in (seeksim, seeksim.model, seeksim.report, seeksim.schedulers, seeksim.workload):
         assert not hasattr(module, name)
+
+
+def test_removed_modules_stay_gone():
+    with pytest.raises(ModuleNotFoundError):
+        import seeksim.metrics  # noqa: F401

@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seeksim.metrics import (
+from seeksim.model import (
+    Schedule,
+    SchedulingError,
+    TransferModel,
     average_seek,
-    display,
     rotational_overhead,
     transfer_time,
 )
-from seeksim.model import Schedule, SchedulingError, TransferModel
+from seeksim.report import display
 
 MODEL = TransferModel()
 
@@ -62,6 +64,11 @@ def test_transfer_time_bare_overhead():
 def test_transfer_time_rejects_negative_average():
     with pytest.raises(ValueError):
         transfer_time(-1.0, MODEL)
+
+
+def test_transfer_time_rejects_nan_average():
+    with pytest.raises(SchedulingError, match="^average seek must be non-negative, got nan$"):
+        transfer_time(float("nan"), MODEL)
 
 
 def test_summarize_keeps_transfer_above_average():

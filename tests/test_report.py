@@ -7,14 +7,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seeksim import report as report_module
-from seeksim.metrics import average_seek, display, transfer_time
-from seeksim.model import DiskGeometry, Schedule, SchedulingError, TransferModel, validate_instance
+from seeksim.model import (
+    DiskGeometry,
+    Schedule,
+    SchedulingError,
+    TransferModel,
+    average_seek,
+    transfer_time,
+    validate_instance,
+)
 from seeksim.report import (
     ALGORITHM_ORDER,
     ComparisonReport,
     DIVERGENCE_NOTE,
     ORACLE_NAME,
     PUBLISHED_TABLES,
+    display,
     emit,
     run_comparison,
     run_property_campaign,
@@ -82,6 +90,8 @@ def test_selection_subset_and_oracle_row():
 def test_unknown_algorithm_rejected():
     with pytest.raises(SchedulingError):
         run_comparison(case_instance(1), algorithms=["FCFS"])
+    with pytest.raises(SchedulingError, match="^unknown algorithm 'FCFS'$"):
+        run_schedule("FCFS", case_instance(1))
 
 
 def test_empty_queue_rows_have_no_averages():
@@ -151,6 +161,8 @@ def test_published_requires_a_case():
     report = run_comparison(validate_instance([10, 20], 5))
     with pytest.raises(SchedulingError):
         emit(report, include_published=True)
+    with pytest.raises(SchedulingError, match="^published values apply to comparison reports only$"):
+        emit(case_report(1).rows, include_published=True)
 
 
 def test_published_tables_cover_all_cases_and_algorithms():
