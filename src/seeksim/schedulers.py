@@ -24,8 +24,8 @@ from typing import Literal, Sequence
 
 from .model import DiskGeometry, Schedule, SchedulingError, Track
 
-# Larger queues are refused: the oracle's O(n^2) time and memory would grow
-# past a few seconds and megabytes.
+# Larger queues are refused: the oracle's O(n^2) time would grow past a few
+# seconds.
 ORACLE_MAX_REQUESTS = 2000
 
 
@@ -47,9 +47,10 @@ def _walk(t: list[Track], state: _State, order: list[Track] | None) -> tuple[int
 
     Each jump serves a run with one bisect: if d_lo < d_hi, every pending
     track above pos - d_hi stays strictly nearer than t[hi], so t[k..lo] go
-    down in turn (a step up is the mirror image). The farther distance at a
-    jump, at least 1 and at most the span of tracks and head, doubles within
-    two jumps, so a walk makes at most 2·log2(span) + 2 jumps.
+    down in turn (a step up is the mirror image). Every track from t[lo] up
+    lies above pos - d_hi, so the bisect needs no bounds. The farther
+    distance at a jump, at least 1 and at most the span of tracks and head,
+    doubles within two jumps, so a walk makes at most 2·log2(span) + 2 jumps.
 
     Returns the seek cost of the steps taken and the state at the first
     exact equidistant tie, or None as the state once every request is
@@ -61,12 +62,12 @@ def _walk(t: list[Track], state: _State, order: list[Track] | None) -> tuple[int
     while lo >= 0 and hi < n:
         d_lo, d_hi = pos - t[lo], t[hi] - pos
         if d_lo < d_hi:
-            k = bisect_right(t, pos - d_hi, 0, lo)
+            k = bisect_right(t, pos - d_hi)
             if order is not None:
                 order += t[k : lo + 1][::-1]
             cost, pos, lo = cost + pos - t[k], t[k], k - 1
         elif d_hi < d_lo:
-            k = bisect_left(t, pos + d_lo, hi + 1, n) - 1
+            k = bisect_left(t, pos + d_lo) - 1
             if order is not None:
                 order += t[hi : k + 1]
             cost, pos, hi = cost + t[k] - pos, t[k], k + 1
@@ -235,12 +236,24 @@ def brute_force_optimal(queue: Sequence[Track], head: Track) -> Schedule:
     it. A state ``(i, j, end)`` means ``t[i..j]`` are serviced and the head
     stands at ``t[i]`` (end 0) or ``t[j]`` (end 1); each step extends the
     block down to ``t[i-1]`` or up to ``t[j+1]``. The cost-to-go of every
-    state is filled by decreasing ``j - i``, O(n^2) time and bytes in all,
-    and the order is rebuilt from the first stop by stepping down whenever
-    that is optimal. Ties resolve to the lexicographically smallest service
-    sequence, as an exhaustive search over every order would: the first stop
-    is the lowest optimal one, and stepping down reaches the lower track.
-    The search never consults ODSA's closed form, so it can check it.
+    state is filled by decreasing ``j - i``: O(n^2) time, and O(n) memory,
+    since only the blocks one wider are kept. It picks the first stop
+    x = t[k], the lowest optimal one; the rest of the order is the sweep
+    up through ``t[k+1:]`` and then down through ``t[:k]``.
+
+    Proof, with L = t[0] and H = t[-1]. If k = 0, the cheapest finish
+    climbs to H without turning, in ascending order. If k > 0, an order
+    from x that reaches L before H costs at least |head - x| + (x - L) +
+    (H - L) >= |head - L| + (H - L), the cost of starting at index 0, so it
+    is not optimal, as index 0 is not; and t[k - 1] < x, or index k - 1
+    would leave the same requests pending and be optimal too. An order
+    from x that reaches H first costs at least |head - x| + (H - x) +
+    (H - L), and only one that climbs to H without going below x and then
+    descends to L without turning costs that. The sweep is one, and the
+    lexicographically smallest: its climb ascends and the descent's order
+    is forced. So ties resolve as an exhaustive search over every order
+    would resolve them. The search never consults ODSA's closed form, so it
+    can check it.
 
     Raises SchedulingError beyond ORACLE_MAX_REQUESTS requests.
     """
@@ -255,34 +268,18 @@ def brute_force_optimal(queue: Sequence[Track], head: Track) -> Schedule:
     # Cost-to-go of the blocks of the current width, indexed by i, with the
     # head at the low end and at the high end; the full block costs nothing.
     at_low = at_high = [0]
-    # steps_down[width][i]: bit ``end`` is set when stepping down is optimal
-    # from state (i, i + width, end); ties go down.
-    steps_down = [bytearray()] * (n - 1)
     for width in range(n - 2, -1, -1):
         # From a track x in block (i, i + width), stepping down and finishing
         # costs x + down[i - 1]; stepping up and finishing costs up[i] - x.
         # The lowest block can only step up and the highest only down.
         down = [c - p for c, p in zip(at_low, t)]
         up = [c + q for c, q in zip(at_high, t[width + 1 :])]
-        new_low, new_high, flags = [up[0] - t[0]], [up[0] - t[width]], bytearray(1)
+        new_low, new_high = [up[0] - t[0]], [up[0] - t[width]]
         for a, b, d, u in zip(t[1:], t[width + 1 :], down, up[1:]):
-            low_down, high_down = a + d <= u - a, b + d <= u - b
-            new_low.append(a + d if low_down else u - a)
-            new_high.append(b + d if high_down else u - b)
-            flags.append(low_down | high_down << 1)
+            new_low.append(a + d if a + d <= u - a else u - a)
+            new_high.append(b + d if b + d <= u - b else u - b)
         new_low.append(t[n - 1 - width] + down[-1])
         new_high.append(t[n - 1] + down[-1])
-        flags.append(3)
-        at_low, at_high, steps_down[width] = new_low, new_high, flags
+        at_low, at_high = new_low, new_high
     first = min(range(n), key=lambda k: abs(head - t[k]) + at_low[k])
-    i = j = first
-    end = 0
-    order = [t[first]]
-    while j - i < n - 1:
-        if steps_down[j - i][i] >> end & 1:
-            i, end = i - 1, 0
-            order.append(t[i])
-        else:
-            j, end = j + 1, 1
-            order.append(t[j])
-    return Schedule("OPTIMAL", head, tuple(order))
+    return Schedule("OPTIMAL", head, (*t[first:], *t[:first][::-1]))

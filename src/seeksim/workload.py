@@ -92,7 +92,8 @@ def parse_requests(text: str) -> tuple[tuple[int, ...], int | None]:
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError("expected 'head <int>'", lineno, 1)
-            head = _parse_track(parts[1], lineno, line.index(parts[1]) + 1)
+            # The keyword may hold the value ("head d"); no later match fits.
+            head = _parse_track(parts[1], lineno, line.rindex(parts[1]) + 1)
             continue
         # str.split() and the regex's \s split on the same whitespace, and
         # every line boundary is whitespace to both. So from the first

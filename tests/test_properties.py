@@ -6,7 +6,7 @@ hypothesis to hunt adversarial shapes (ties, duplicates, head on a request).
 
 from itertools import permutations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seeksim.model import DiskGeometry, Schedule
@@ -110,8 +110,19 @@ small_instances = st.integers(1, 12).flatmap(
 )
 
 
+# The examples cover each shape of the oracle's order: the first stop at
+# index 0; at index n - 1; inside, going up next (plainly, on a duplicate
+# track, and on the lower of two top tracks); inside but tied with starting
+# at index 0; and a tie between the two extremes.
 @settings(max_examples=250, deadline=None)
 @given(small_instances)
+@example(([10, 20, 30], 5))
+@example(([10, 20, 30], 35))
+@example(([0, 60, 80, 100], 55))
+@example(([0, 60, 60, 100], 55))
+@example(([0, 100, 100], 90))
+@example(([0, 10, 40], 10))
+@example(([40, 60], 50))
 def test_oracle_matches_brute_force_reference(instance):
     queue, head = instance
     got = brute_force_optimal(queue, head)

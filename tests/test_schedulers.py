@@ -7,6 +7,7 @@ path and cross-checked against the optimal-order oracle where applicable.
 import math
 import random
 import time
+import tracemalloc
 from bisect import bisect_left, bisect_right
 
 import pytest
@@ -664,6 +665,26 @@ def test_oracle_accepts_queue_up_to_bound(n):
 def test_oracle_tie_breaks_lexicographically():
     s = brute_force_optimal([40, 60], 50)
     assert s.service_order == (40, 60)
+
+
+def _oracle_peak_bytes(n):
+    # Tracks in 0..3 keep every cost one of CPython's cached small ints, so
+    # tracemalloc sees only the lists and tables, not millions of new ints
+    # that would make tracing slow.
+    rng = random.Random(n)
+    queue = [rng.randint(0, 3) for _ in range(n)]
+    tracemalloc.start()
+    try:
+        brute_force_optimal(queue, 2)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_memory_grows_linearly():
+    # The DP keeps only the cost-to-go of two block widths: 4x the requests
+    # should take about 4x the memory, where an O(n^2) table takes 16x.
+    assert _oracle_peak_bytes(2000) <= 6 * _oracle_peak_bytes(500)
 
 
 # ---------------------------------------------------------------- edges

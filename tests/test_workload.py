@@ -96,6 +96,13 @@ def test_parse_rejects_non_integer_token():
     assert err.value.column == 4
 
 
+@pytest.mark.parametrize("text,column", [("head d", 6), ("head head", 6), ("  head a", 8)])
+def test_bad_head_value_column_points_at_the_value(text, column):
+    with pytest.raises(ParseError) as err:
+        parse_requests(text)
+    assert (err.value.line, err.value.column) == (1, column)
+
+
 @pytest.mark.parametrize(
     "text,converted",
     [
@@ -193,7 +200,7 @@ def _reference_parse_requests(text):
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError("expected 'head <int>'", lineno, 1)
-            head = _parse_track(parts[1], lineno, line.index(parts[1]) + 1)
+            head = _parse_track(parts[1], lineno, line.rindex(parts[1]) + 1)
             continue
         for match in re.finditer(r"[^,\s]+", line):
             tracks.append(_parse_track(match.group(), lineno, match.start() + 1))
@@ -210,7 +217,10 @@ _SEPARATORS = st.sampled_from(
     [",", " ", ", ", ",,", "\t", "\u00a0", "\u2003", "\u3000", "\x0b", "\x1c", "\u200b"]
 )
 _DIRECTIVES = st.sampled_from(
-    ["head 5", "  head\t7", "head -1", "head x", "head", "head 5 6", "header 3", "head,5"]
+    [
+        "head 5", "  head\t7", "head -1", "head x", "head", "head 5 6", "header 3", "head,5",
+        "head d", "head head",
+    ]
 )
 
 
