@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 from .model import (
     DEFAULT_BYTES_PER_TRACK,
@@ -79,6 +79,16 @@ def _case(text: str) -> int:
     return case_id
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and so subparsers, whose usage errors print like
+    every other input error: one ``error:`` line, then exit 2. A line break
+    in the message (argparse echoes unknown arguments as given) prints as
+    ``\\n``."""
+
+    def error(self, message: str):
+        self.exit(2, "error: " + "\\n".join(message.splitlines()) + "\n")
+
+
 def _geometry_args(parser: argparse.ArgumentParser) -> None:
     # None marks an unset flag, which --case conflict detection relies on.
     parser.add_argument(
@@ -90,7 +100,7 @@ def _geometry_args(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seeksim", description="Disk-arm scheduling simulator and comparison tool."
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -3,16 +3,18 @@ instances and schedules) and the cost model that ranks schedules.
 
 Queues are tuples of int tracks in arrival order and heads are plain int
 tracks. All types are immutable classes compared by field, not dataclasses,
-so instances are safe to share across threads or processes.
+so instances are safe to share across threads or processes. A value derived
+from the fields is computed on first read and then stored; two threads that
+read it first at the same time may both compute it, which is harmless, as
+both store equal values.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from functools import cached_property
+from collections.abc import Iterator, Sequence
 from itertools import chain
-from typing import Iterator, Sequence
 
 Track = int
 
@@ -63,7 +65,7 @@ class _Frozen:
     field within one class, and print like frozen dataclasses."""
 
     def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -82,6 +84,21 @@ class _Frozen:
     def __repr__(self):
         fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
         return f"{self.__class__.__qualname__}({fields})"
+
+
+class _derived:
+    """A value computed from an instance's fields on first read and stored
+    in its ``__dict__``, which later reads find before this descriptor. Unlike
+    functools.cached_property, it takes no lock."""
+
+    def __init__(self, compute):
+        self._compute, self._name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self._name] = self._compute(obj)
+        return value
 
 
 class DiskGeometry(_Frozen):
@@ -163,10 +180,9 @@ class Schedule(_Frozen):
     ``stops`` is the full head itinerary after ``start`` and ``idle`` holds
     the indices of the stops that service nothing: the preliminary moves
     (sweep end points, wrap landings) that cost seek distance without
-    completing a request. Everything else is derived from them.
-    ``step_seeks`` has one entry per path segment, so
-    ``sum(step_seeks) == total_seek`` and unserviced stops count too; it is
-    computed on first access and then cached.
+    completing a request. Everything else is derived from them on first read
+    and then stored. ``step_seeks`` has one entry per path segment, so
+    ``sum(step_seeks) == total_seek`` and unserviced stops count too.
     """
 
     _fields = ("algorithm", "start", "stops", "idle", "service_order", "preliminary_moves",
@@ -175,20 +191,28 @@ class Schedule(_Frozen):
     def __init__(
         self, algorithm: str, start: Track, stops: tuple[Track, ...], idle: tuple[int, ...] = ()
     ):
-        service = stops
-        for i in reversed(idle):
-            service = service[:i] + service[i + 1 :]
-        self.__dict__.update(
-            algorithm=algorithm, start=start, stops=stops, idle=idle, service_order=service,
-            preliminary_moves=tuple(stops[i] for i in idle),
-            total_seek=sum(self._seeks(start, stops)),
-        )
+        self.__dict__.update(algorithm=algorithm, start=start, stops=stops, idle=idle)
 
     @staticmethod
     def _seeks(start: Track, stops: tuple[Track, ...]) -> Iterator[int]:
         return map(abs, map(operator.sub, stops, chain((start,), stops)))
 
-    @cached_property
+    @_derived
+    def service_order(self) -> tuple[Track, ...]:
+        service = self.stops
+        for i in reversed(self.idle):
+            service = service[:i] + service[i + 1 :]
+        return service
+
+    @_derived
+    def preliminary_moves(self) -> tuple[Track, ...]:
+        return tuple(self.stops[i] for i in self.idle)
+
+    @_derived
+    def total_seek(self) -> int:
+        return sum(self._seeks(self.start, self.stops))
+
+    @_derived
     def step_seeks(self) -> tuple[int, ...]:
         return tuple(self._seeks(self.start, self.stops))
 
@@ -205,14 +229,19 @@ class Instance(_Frozen):
     def __init__(self, queue: tuple[Track, ...], head: Track, geometry: DiskGeometry):
         self.__dict__.update(queue=queue, head=head, geometry=geometry)
 
-    @cached_property
+    @_derived
     def tracks(self) -> tuple[Track, ...]:
         """The queue in ascending order, sorted once per instance and laid
         out in that order in memory, so each pass over it reads memory in
         sequence. Every scheduler but FIFO depends only on this multiset."""
+        ordered = sorted(self.queue)
+        # CPython shares one object per int in [-5, 256], and those objects
+        # already lie in value order, so a copy would change nothing.
+        if ordered and -5 <= ordered[0] and ordered[-1] <= 256:
+            return tuple(ordered)
         # Parsed ints lie in memory in arrival order; fresh copies of the exact
         # ints, made in sorted order, are read in sequence. Others stay as is.
-        return tuple([t + 0 if t.__class__ is int else t for t in sorted(self.queue)])
+        return tuple([t + 0 if t.__class__ is int else t for t in ordered])
 
 
 def validate_instance(

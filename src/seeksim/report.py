@@ -8,7 +8,7 @@ deterministic, so identical inputs give byte-identical text.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .model import (
     DiskGeometry,
@@ -269,7 +269,7 @@ def _series_csv(schedules: Sequence[Schedule]) -> str:
     for s in schedules:
         n = len(s.stops) + 1  # the head path's length
         # Every series shares the step column: one line template per step.
-        lines += (f",{i},%s\n" for i in range(len(lines), n))
+        lines += [f",{i},%s\n" for i in range(len(lines), n)]
         name = _csv_cell(s.algorithm).replace("%", "%%")
         parts.append((name + name.join(lines[:n])) % s.head_path())
     return "".join(parts)
@@ -283,7 +283,7 @@ def _series_json(schedules: Sequence[Schedule]) -> str:
     for s in schedules:
         n = len(s.stops) + 1  # the head path's length
         # Every series shares the [step, track] items: one template per step.
-        points += (f"[\n          {i},\n          %s\n        ]" for i in range(len(points), n))
+        points += [f"[\n          {i},\n          %s\n        ]" for i in range(len(points), n)]
         parts += (
             sep, '\n    {\n      "algorithm": ', json.dumps(s.algorithm),
             ',\n      "points": [\n        ',

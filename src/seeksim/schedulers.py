@@ -20,7 +20,7 @@ where they keep total_seek invariant under reflection of the whole instance
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Literal, Sequence
+from collections.abc import Sequence
 
 from .model import DiskGeometry, Schedule, SchedulingError, Track
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 import re
-from typing import Sequence
+from collections.abc import Sequence
 
 from .model import DiskGeometry, SchedulingError, _echo
 
@@ -64,7 +64,9 @@ def generate(count: int, geometry: DiskGeometry = DiskGeometry(), seed: int = 0)
     return tuple(rng.randint(geometry.min_track, geometry.max_track) for _ in range(count))
 
 
-_HEAD_DIRECTIVE = re.compile(r"^head\b")
+# The keyword ends at whitespace or the line's end: "head,5 6" is a line of
+# tokens, whose first, "head", fails as a track.
+_HEAD_DIRECTIVE = re.compile(r"^head(?:\s|$)")
 _TOKEN = re.compile(r"[^,\s]+")
 
 

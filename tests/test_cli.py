@@ -8,7 +8,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from seeksim.cli import main
@@ -167,6 +167,33 @@ def test_oversized_float_and_case_flags_are_echoed_short(capsys, argv):
     assert exit_.value.code == 2
     assert len(err.encode()) < 1024 and "characters" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "error: the following arguments are required: command"),
+        (["bogus"], "error: argument command: invalid choice: 'bogus'"),
+        (["run", "--algo", "x"], "error: argument --algo: invalid choice: 'x'"),
+        (["gen"], "error: the following arguments are required: --count"),
+        (["run", "--case", "1", "a\nb"], "error: unrecognized arguments: a\\nb"),
+    ],
+)
+def test_usage_errors_are_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 2 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["verify", "-h"]])
+def test_help_still_prints_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 0 and err == ""
+    assert out.startswith("usage: seeksim") and "options:" in out
 
 
 @pytest.mark.parametrize("case", ["0", "4", "-1"])
@@ -432,6 +459,8 @@ def _numbers_are_finite(text):
 
 @settings(max_examples=200, deadline=None)
 @given(_argv())
+@example((["run", "--algo", "x"], None))
+@example((["run", "--case", "1", "x\ny"], None))
 def test_cli_guarantee(drawn):
     argv, data = drawn
     with tempfile.TemporaryDirectory() as tmp:
@@ -454,3 +483,6 @@ def test_cli_guarantee(drawn):
         assert _numbers_are_finite(out.getvalue()), out.getvalue()
     else:
         assert out.getvalue() == "" or argv[0] == "verify"
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())

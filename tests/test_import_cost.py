@@ -1,6 +1,7 @@
 """Import-time guards: loading seeksim, or running a command that prints no
 table, must not pull in the slow stdlib modules that value types, JSON output
-and table rendering once needed at import; and ``import seeksim`` exports
+and table rendering once needed at import; no command loads ``typing``
+(annotations are never evaluated); and ``import seeksim`` exports
 exactly the public names pinned here, so any change to them is a test edit."""
 
 import os
@@ -53,6 +54,26 @@ def test_import_loads_no_heavy_module(statement):
 def test_commands_without_tables_load_no_heavy_module(argv):
     added = _modules_added(f"from seeksim.cli import main\nassert main({argv!r}) == 0")
     assert not added & HEAVY
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import seeksim.cli",
+        "from seeksim.cli import main\nassert main(['run', '--case', '1', '--format', 'json']) == 0",
+    ],
+)
+def test_seeksim_loads_no_typing(statement):
+    # Without -S, site may import typing before seeksim does (some
+    # interpreters' .pth files do), which would hide a seeksim import.
+    program = f"import sys\n{statement}\nassert 'typing' not in sys.modules, 'typing loaded'\n"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", program],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_table_output_loads_only_what_it_uses():

@@ -1,5 +1,6 @@
 """The contract of the six value types: field order in repr, equality and
-hashing by field, immutability, constructor checks and cached properties.
+hashing by field, immutability, constructor checks and the values derived
+on first read.
 
 The pinned reprs are the ones the frozen-dataclass versions of these types
 printed, so any code that logs or compares them sees the same text.
@@ -23,7 +24,7 @@ from seeksim.model import (
     TransferModel,
     validate_instance,
 )
-from seeksim.report import CampaignSummary, ComparisonReport
+from seeksim.report import CampaignSummary, ComparisonReport, emit, run_comparison
 from seeksim.schedulers import schedule_scan
 from seeksim.workload import generate
 
@@ -200,12 +201,56 @@ def test_campaign_summary_gets_a_new_dict_each_time():
 
 def test_step_seeks_is_computed_once(monkeypatch):
     schedule = schedule_scan((25, 10, 151), 45, DiskGeometry())
+    total = schedule.total_seek  # derived on its own first read, before the patch
     calls = []
     seeks = Schedule._seeks
     monkeypatch.setattr(Schedule, "_seeks", staticmethod(lambda *a: calls.append(1) or seeks(*a)))
     first = schedule.step_seeks
-    assert first == (20, 15, 10, 151) and sum(first) == schedule.total_seek
+    assert first == (20, 15, 10, 151) and sum(first) == total == schedule.total_seek
     assert schedule.step_seeks is first and len(calls) == 1
+
+
+DERIVED = ("service_order", "preliminary_moves", "total_seek", "step_seeks")
+
+
+@st.composite
+def _schedules(draw):
+    """(start, stops, idle, the derived fields in a drawn read order)."""
+    tracks = st.integers(-10**6, 10**6)
+    stops = tuple(draw(st.lists(tracks, max_size=12)))
+    idle = tuple(sorted(draw(st.sets(st.integers(0, len(stops) - 1)) if stops else st.just(()))))
+    return draw(tracks), stops, idle, draw(st.permutations(DERIVED))
+
+
+@given(_schedules())
+@example((45, (25, 10, 0, 151), (2,), DERIVED))
+@example((45, (25, 10, 151), (), DERIVED[::-1]))
+@example((5, (), (), DERIVED))
+def test_derived_fields_match_the_eager_formulas(drawn):
+    start, stops, idle, order = drawn
+    schedule = Schedule("SCAN", start, stops, idle)
+    assert set(schedule.__dict__) == {"algorithm", "start", "stops", "idle"}
+    path = (start, *stops)
+    expected = {
+        "service_order": tuple(t for i, t in enumerate(stops) if i not in idle),
+        "preliminary_moves": tuple(stops[i] for i in idle),
+        "total_seek": sum(abs(b - a) for a, b in zip(path, path[1:])),
+        "step_seeks": tuple(abs(b - a) for a, b in zip(path, path[1:])),
+    }
+    for name in order:
+        value = getattr(schedule, name)
+        assert value == expected[name]
+        assert schedule.__dict__[name] is value and getattr(schedule, name) is value
+    assert schedule == Schedule("SCAN", start, stops, idle)
+
+
+def test_head_paths_leave_the_derived_fields_unread():
+    report = run_comparison(validate_instance((25, 10, 151, 170, 62), 45))
+    for format in ("csv", "json"):
+        emit(report.rows, format)
+    assert len(report.rows) == 6
+    for row in report.rows:
+        assert not {"total_seek", "service_order", "preliminary_moves"} & row.__dict__.keys()
 
 
 def test_tracks_are_sorted_once(monkeypatch):

@@ -147,6 +147,14 @@ def test_parse_rejects_malformed_head():
         parse_requests("head 4 5")
 
 
+@pytest.mark.parametrize("text", ["head,5 6\n1\n", "head,5 6", "head;5 6\n"])
+def test_head_keyword_glued_to_a_value_is_a_bad_token(text):
+    # Once read as "head 6", dropping the 5 without an error.
+    with pytest.raises(ParseError, match="expected an integer track, got 'head") as err:
+        parse_requests(text)
+    assert (err.value.line, err.value.column) == (1, 1)
+
+
 def test_render_round_trip_with_head():
     queue, head, _ = reference_case(1)
     text = render_requests(queue, head)
@@ -192,7 +200,7 @@ def _reference_parse_requests(text):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        if re.match(r"^head\b", line.strip()):
+        if re.match(r"^head(\s|$)", line.strip()):
             if head is not None:
                 raise ParseError("duplicate head directive", lineno, 1)
             if tracks:
@@ -219,7 +227,7 @@ _SEPARATORS = st.sampled_from(
 _DIRECTIVES = st.sampled_from(
     [
         "head 5", "  head\t7", "head -1", "head x", "head", "head 5 6", "header 3", "head,5",
-        "head d", "head head",
+        "head d", "head head", "head,5 6",
     ]
 )
 
