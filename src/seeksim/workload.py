@@ -14,7 +14,6 @@ initial head position. Example::
 
 from __future__ import annotations
 
-import random
 import re
 from collections.abc import Sequence
 
@@ -48,6 +47,7 @@ def reference_case(case_id: int) -> tuple[tuple[int, ...], int, DiskGeometry]:
 
 
 def _seeded_rng(seed: int) -> random.Random:
+    import random  # only gen and verify draw, so a run need not load it
     if not 0 <= seed < 2**64:  # random.Random(-N) draws exactly Random(N)'s values
         raise SchedulingError("seed must fit in 64 unsigned bits")
     return random.Random(seed)
@@ -66,7 +66,7 @@ def generate(count: int, geometry: DiskGeometry = DiskGeometry(), seed: int = 0)
 
 # The keyword ends at whitespace or the line's end: "head,5 6" is a line of
 # tokens, whose first, "head", fails as a track.
-_HEAD_DIRECTIVE = re.compile(r"^head(?:\s|$)")
+_HEAD_DIRECTIVE = re.compile(r"\s*head(?:\s|$)")
 _TOKEN = re.compile(r"[^,\s]+")
 
 
@@ -76,20 +76,18 @@ def parse_requests(text: str) -> tuple[tuple[int, ...], int | None]:
     Raises ParseError (with line/column) on non-integer tokens, a misplaced
     or repeated head directive, or negative tracks.
     """
-    tracks: list[int] = []
     head: int | None = None
     bulk_tried = False
     end = 0
     for lineno, raw in enumerate(text.splitlines(keepends=True), start=1):
         start, end = end, end + len(raw)
         line = raw.partition("#")[0]
-        stripped = line.strip()
-        if not stripped:
+        if not _TOKEN.search(line):
             continue
-        if _HEAD_DIRECTIVE.match(stripped):
+        if _HEAD_DIRECTIVE.match(line):
             if head is not None:
                 raise ParseError("duplicate head directive", lineno, 1)
-            if tracks:
+            if bulk_tried:
                 raise ParseError("head directive must precede all requests", lineno, 1)
             parts = line.split()
             if len(parts) != 2:
@@ -97,24 +95,26 @@ def parse_requests(text: str) -> tuple[tuple[int, ...], int | None]:
             # The keyword may hold the value ("head d"); no later match fits.
             head = _parse_track(parts[1], lineno, line.rindex(parts[1]) + 1)
             continue
-        # str.split() and the regex's \s split on the same whitespace, and
-        # every line boundary is whitespace to both. So from the first
-        # request on, a text without comments is one split; a head line
-        # there fails int(), and so would a comment, which is why a text
-        # with one skips the attempt. On any failure the lines are parsed
-        # one by one, token by token, so the first bad token is reported.
+        # The queue comes only from one split of the text from this first
+        # line with a token on, its comments cut out line by line. str.split()
+        # and the regex's \s split on the same whitespace, and every line
+        # boundary is whitespace to both, so the split yields the lines'
+        # tokens in order, and a later head line fails int(). A failed split
+        # thus holds a bad token; the lines are scanned only to report it.
         if not bulk_tried:
             bulk_tried = True
             rest = text[start:]
-            if "#" not in rest:
-                try:
-                    values = tuple(map(int, rest.replace(",", " ").split()))
-                except ValueError:
-                    values = None
-                if values is not None and (not values or min(values) >= 0):
-                    return values, head
-        tracks.extend(_parse_track(m.group(), lineno, m.start() + 1) for m in _TOKEN.finditer(line))
-    return tuple(tracks), head
+            if "#" in rest:
+                rest = "\n".join(row.partition("#")[0] for row in rest.splitlines())
+            try:
+                values = tuple(map(int, rest.replace(",", " ").split()))
+            except ValueError:
+                values = None
+            if values is not None and min(values) >= 0:
+                return values, head
+        for m in _TOKEN.finditer(line):
+            _parse_track(m.group(), lineno, m.start() + 1)
+    return (), head
 
 
 def _parse_track(token: str, line: int, column: int) -> int:

@@ -12,15 +12,16 @@ Each mutant changes one site of the module's syntax tree:
 - an int constant 0, 1 or 2 raised by one;
 - bisect_left and bisect_right swapped, and min and max.
 
-The repository's ``src/`` and ``tests/`` are copied to a temporary
-directory once; each mutant is written over the module there, and the test
-files run with ``pytest -x`` under a timeout. A failing run (a failed test,
-a test file that no longer imports, or a pytest internal error) or a timeout
-kills the mutant; a passing run lets it survive. A timing test that flakes
-under load counts as a kill too, so a high rate is an upper bound. One line
-per mutant goes to stdout, then the kill rate. The file has no ``test_``
-prefix, so pytest does not collect it, and it needs only the stdlib and the
-test dependencies.
+The repository's ``src/`` and ``tests/``, and the frozen
+``perfbench/baseline/`` that the differential test reads, are copied to a
+temporary directory once; each mutant is written over the module there,
+and the test files run with ``pytest -x`` under a timeout. A failing run
+(a failed test, a test file that no longer imports, or a pytest internal
+error) or a timeout kills the mutant; a passing run lets it survive. A
+timing test that flakes under load counts as a kill too, so a high rate is
+an upper bound. One line per mutant goes to stdout, then the kill rate. The
+file has no ``test_`` prefix, so pytest does not collect it, and it needs
+only the stdlib and the test dependencies.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "perfbench/baseline"):
             shutil.copytree(ROOT / part, copy / part, ignore=ignore)
         target = copy / args.module
         baseline = _outcome(copy, args.tests, args.timeout)

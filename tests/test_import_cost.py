@@ -36,6 +36,18 @@ def _modules_added(statement: str) -> set[str]:
     return set(proc.stderr.rsplit("\nMODULES ", 1)[1].split())
 
 
+def _run_without_site(program: str) -> None:
+    """Run ``program`` under ``python -S``, so that nothing ``site`` imports
+    hides a module that seeksim loads, and require it to pass."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", program],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("statement", ["import seeksim.cli", "import seeksim"])
 def test_import_loads_no_heavy_module(statement):
     added = _modules_added(statement)
@@ -66,14 +78,19 @@ def test_commands_without_tables_load_no_heavy_module(argv):
 def test_seeksim_loads_no_typing(statement):
     # Without -S, site may import typing before seeksim does (some
     # interpreters' .pth files do), which would hide a seeksim import.
-    program = f"import sys\n{statement}\nassert 'typing' not in sys.modules, 'typing loaded'\n"
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", program],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
+    _run_without_site(f"import sys\n{statement}\nassert 'typing' not in sys.modules")
+
+
+@pytest.mark.parametrize(
+    "argv, loads_random",
+    [(["run", "--case", "1"], False), (["gen", "--count", "3"], True)],
+)
+def test_only_seeded_commands_load_random(argv, loads_random):
+    # Under -S too, since site may import random before seeksim does.
+    _run_without_site(
+        f"import sys\nfrom seeksim.cli import main\nassert main({argv!r}) == 0\n"
+        f"assert ('random' in sys.modules) is {loads_random}"
     )
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_table_output_loads_only_what_it_uses():

@@ -106,7 +106,7 @@ def test_bad_head_value_column_points_at_the_value(text, column):
 @pytest.mark.parametrize(
     "text,converted",
     [
-        # A comment would make the one split fail, so it is not tried.
+        # The comment is cut out before the one split, which converts the rest.
         ("head 5\n1 2\n3 # c\n", ["5", "1", "2", "3"]),
         # Without one the body is one split, and track 0 passes it.
         ("head 5\n0 1\n", ["5", "0", "1"]),
@@ -117,6 +117,28 @@ def test_parse_converts_each_token_once(monkeypatch, text, converted):
     monkeypatch.setattr(workload, "int", lambda s: calls.append(s) or int(s), raising=False)
     parse_requests(text)
     assert calls == converted
+
+
+def test_queue_comes_only_from_the_split(monkeypatch):
+    # Comments before, inside and after the body leave one path: only the
+    # head value goes through _parse_track, and the split converts the rest.
+    calls = []
+    parse_track = workload._parse_track
+    monkeypatch.setattr(workload, "_parse_track", lambda *a: calls.append(a) or parse_track(*a))
+    assert parse_requests("# c\nhead 5\n1, 2 # x\n3\n") == ((1, 2, 3), 5)
+    assert calls == [("5", 2, 6)]
+
+
+def test_split_and_token_scan_agree_on_whitespace_and_line_ends():
+    # The premise of parse_requests' one split: str.split() and the regex's
+    # \s split at the same characters, and every str.splitlines boundary is
+    # whitespace to both.
+    every = "".join(map(chr, range(0x110000)))
+    spaces = "".join(filter(str.isspace, every))
+    assert "".join(re.findall(r"\s", every)) == spaces
+    # Joined with "#", no two boundaries are adjacent ("\r\n" is one).
+    lines = "#".join(every).splitlines(keepends=True)
+    assert {line[-1] for line in lines[:-1]} <= set(spaces)
 
 
 def test_parse_rejects_fractional_track():
@@ -274,5 +296,8 @@ _BULK_TEXT = "# 40 seeded uniform requests\nhead 90\n" + "\n".join(_BULK_LINES) 
 @example("# c\nhead 5\n1, 2\n3, 4\n5, " + "7" * 5000 + "\n")
 @example("# c\nhead 5\n, ,\n,\n \t\n")
 @example(",\n1\n")
+@example(",\nhead 5\n1\n")
+@example("head 5\n1 # c\n2, x\n")
+@example("1 # c\nhead 5\n")
 def test_parse_matches_regex_reference(text):
     assert _outcome(parse_requests, text) == _outcome(_reference_parse_requests, text)
