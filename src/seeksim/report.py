@@ -37,16 +37,14 @@ ALGORITHM_ORDER = ("FIFO", "SSTF", "SCAN", "C-SCAN", "LOOK", "ODSA")
 ORACLE_NAME = "OPTIMAL"
 
 _BUILDERS: dict[str, Callable[[Instance], Schedule]] = {
-    "FIFO": lambda inst: schedule_fifo(inst.queue, inst.head),
-    # The others depend only on the multiset of requests, so they take the
-    # instance's sorted tracks, laid out in sorted order in memory so each
-    # pass reads it in sequence, and their own sort runs in linear time.
-    "SSTF": lambda inst: schedule_sstf(inst.tracks, inst.head),
-    "SCAN": lambda inst: schedule_scan(inst.tracks, inst.head, inst.geometry),
-    "C-SCAN": lambda inst: schedule_cscan(inst.tracks, inst.head, inst.geometry),
-    "LOOK": lambda inst: schedule_look(inst.tracks, inst.head),
-    "ODSA": lambda inst: schedule_odsa(inst.tracks, inst.head),
-    ORACLE_NAME: lambda inst: brute_force_optimal(inst.tracks, inst.head),
+    # Looked up per call, so a wrapper patched over a global here is what runs.
+    "FIFO": lambda inst: schedule_fifo(inst),
+    "SSTF": lambda inst: schedule_sstf(inst),
+    "SCAN": lambda inst: schedule_scan(inst),
+    "C-SCAN": lambda inst: schedule_cscan(inst),
+    "LOOK": lambda inst: schedule_look(inst),
+    "ODSA": lambda inst: schedule_odsa(inst),
+    ORACLE_NAME: lambda inst: brute_force_optimal(inst),
 }
 
 # Values printed in the original ODSA study's comparison tables, by case and

@@ -1,9 +1,10 @@
 """The six scheduling algorithms plus an exact optimal-order oracle.
 
-Every scheduler is a pure function mapping (queue, head[, geometry]) to a
-Schedule. Every scheduler but FIFO depends only on the multiset of requests,
-not on their arrival order, so it may be given the queue already sorted
-(``Instance.tracks``). Shared conventions:
+Every scheduler is a pure function mapping a validated Instance to a
+Schedule. FIFO reads the queue in arrival order; every other scheduler
+depends only on the multiset of requests and reads the instance's sorted
+``tracks``, its head and, for SCAN and C-SCAN, its geometry. Shared
+conventions:
 
 - Requests already under the head are serviced first at zero cost and are
   counted on neither side when a sweep direction is chosen.
@@ -20,28 +21,29 @@ where they keep total_seek invariant under reflection of the whole instance
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
 
-from .model import DiskGeometry, Schedule, SchedulingError, Track
+from .model import Instance, Schedule, SchedulingError, Track
 
 # Larger queues are refused: the oracle's O(n^2) time would grow past a few
 # seconds.
 ORACLE_MAX_REQUESTS = 2000
 
 
-def schedule_fifo(queue: Sequence[Track], head: Track) -> Schedule:
+def schedule_fifo(instance: Instance) -> Schedule:
     """Service requests in arrival order."""
-    return Schedule("FIFO", head, tuple(queue))
+    return Schedule("FIFO", instance.head, instance.queue)
 
 
-# A state of the SSTF walk over t = sorted(queue): (lo, hi, pos). The serviced
-# requests are exactly t[lo + 1] .. t[hi - 1], pos is the track the head
-# stands on, and t[lo] / t[hi] are the nearest pending requests below / above
-# (lo < 0 or hi == len(t) when that side is empty).
+# A state of the SSTF walk over the sorted tracks t: (lo, hi, pos). The
+# serviced requests are exactly t[lo + 1] .. t[hi - 1], pos is the track the
+# head stands on, and t[lo] / t[hi] are the nearest pending requests below /
+# above (lo < 0 or hi == len(t) when that side is empty).
 _State = tuple[int, int, Track]
 
 
-def _walk(t: list[Track], state: _State, order: list[Track] | None) -> tuple[int, _State | None]:
+def _walk(
+    t: tuple[Track, ...], state: _State, order: list[Track] | None
+) -> tuple[int, _State | None]:
     """Take SSTF's forced steps from ``state``, appending each serviced track
     to ``order`` when one is given.
 
@@ -83,14 +85,14 @@ def _walk(t: list[Track], state: _State, order: list[Track] | None) -> tuple[int
     return cost, None
 
 
-def _tie_branches(t: list[Track], tie: _State) -> tuple[_State, _State]:
+def _tie_branches(t: tuple[Track, ...], tie: _State) -> tuple[_State, _State]:
     """The states after servicing the lower, or the upper, of the two
     equidistant requests at ``tie``."""
     lo, hi, _ = tie
     return (lo - 1, hi, t[lo]), (lo, hi + 1, t[hi])
 
 
-def _finish_cost(t: list[Track], state: _State, memo: dict[_State, int]) -> int:
+def _finish_cost(t: tuple[Track, ...], state: _State, memo: dict[_State, int]) -> int:
     """Seek cost for SSTF to service every pending request from ``state``.
 
     Nested ties are resolved with an explicit stack instead of recursion: a
@@ -119,21 +121,21 @@ def _finish_cost(t: list[Track], state: _State, memo: dict[_State, int]) -> int:
     return memo[state]
 
 
-def schedule_sstf(queue: Sequence[Track], head: Track) -> Schedule:
+def schedule_sstf(instance: Instance) -> Schedule:
     """Repeatedly service the pending request nearest the current head.
 
     The serviced requests always form one contiguous block of the sorted
-    queue, so the walk keeps the nearest pending request below and above and
-    serves each run with one bisect: O(log(span) · log(n)) per walk after the
-    O(n log n) sort. When the two are equidistant, the side from which
-    finishing is cheaper wins (equal cost resolves to the lower track); this
-    lookahead makes total_seek independent of translation and reflection of
-    the instance. It is memoized on the walk state, and a tie state has the
-    head at one end of the serviced block, so there are at most two tie
-    states per distinct track: the walks cost O(d · log span · log n) after
-    the sort, where d is the number of distinct tracks (see _finish_cost).
+    tracks, so the walk keeps the nearest pending request below and above and
+    serves each run with one bisect: O(log(span) · log(n)) per walk. When
+    the two are equidistant, the side from which finishing is cheaper wins
+    (equal cost resolves to the lower track); this lookahead makes total_seek
+    independent of translation and reflection of the instance. It is
+    memoized on the walk state, and a tie state has the head at one end of
+    the serviced block, so there are at most two tie states per distinct
+    track: the walks cost O(d · log span · log n), where d is the number of
+    distinct tracks (see _finish_cost).
     """
-    t = sorted(queue)
+    t, head = instance.tracks, instance.head
     hi = bisect_left(t, head)
     order: list[Track] = []
     memo: dict[_State, int] = {}
@@ -147,7 +149,7 @@ def schedule_sstf(queue: Sequence[Track], head: Track) -> Schedule:
         order.append(state[2])
 
 
-def _sweeps_up(h: Track, below: list[Track], above: list[Track]) -> bool:
+def _sweeps_up(h: Track, below: tuple[Track, ...], above: tuple[Track, ...]) -> bool:
     """Whether the sweep goes up first, given the sorted pending tracks on
     each side. See the module docstring."""
     if len(above) != len(below):
@@ -155,13 +157,7 @@ def _sweeps_up(h: Track, below: list[Track], above: list[Track]) -> bool:
     return above[-1] - h <= h - below[0]
 
 
-def _sweep(
-    name: str,
-    queue: Sequence[Track],
-    head: Track,
-    end: Literal["physical", "wrap", "request"],
-    geometry: DiskGeometry = DiskGeometry(),
-) -> Schedule:
+def _sweep(name: str, instance: Instance, end: str) -> Schedule:
     """The elevator sweep behind SCAN, C-SCAN and LOOK.
 
     Service the requests at the head, then everything on the chosen side;
@@ -172,11 +168,11 @@ def _sweep(
     direction after the jump ("wrap"). End points without a request there
     are unserviced stops.
     """
-    tracks = sorted(queue)
+    tracks, head, geometry = instance.tracks, instance.head, instance.geometry
     lo, hi = bisect_left(tracks, head), bisect_right(tracks, head)
     below, above = tracks[:lo], tracks[hi:]
     if not below and not above:
-        return Schedule(name, head, tuple(tracks))
+        return Schedule(name, head, tracks)
     if _sweeps_up(head, below, above):
         first, back, near, far = tracks[lo:], below[::-1], geometry.max_track, geometry.min_track
     else:
@@ -188,51 +184,51 @@ def _sweep(
     if end == "wrap" and second and second[0] != far:
         moves.append(far)
     idle = tuple(range(len(first), len(first) + len(moves)))
-    return Schedule(name, head, tuple(first + moves + second), idle)
+    return Schedule(name, head, first + tuple(moves) + second, idle)
 
 
-def schedule_scan(queue: Sequence[Track], head: Track, geometry: DiskGeometry = DiskGeometry()) -> Schedule:
+def schedule_scan(instance: Instance) -> Schedule:
     """Elevator sweep: service everything in the chosen direction, run on to
     the physical disk end (an unserviced stop unless a request sits there),
     then reverse and stop at the last remaining request."""
-    return _sweep("SCAN", queue, head, "physical", geometry)
+    return _sweep("SCAN", instance, "physical")
 
 
-def schedule_cscan(queue: Sequence[Track], head: Track, geometry: DiskGeometry = DiskGeometry()) -> Schedule:
+def schedule_cscan(instance: Instance) -> Schedule:
     """Circular sweep: like SCAN up to the physical end, then wrap to the
     opposite end at a cost of the full disk width and continue in the same
     direction, stopping at the last remaining request. The wrap landing is an
     unserviced stop unless a request sits on that end track."""
-    return _sweep("C-SCAN", queue, head, "wrap", geometry)
+    return _sweep("C-SCAN", instance, "wrap")
 
 
-def schedule_look(queue: Sequence[Track], head: Track) -> Schedule:
+def schedule_look(instance: Instance) -> Schedule:
     """Like SCAN, but reverse at the extreme pending request instead of the
     physical end, so every stop services a request."""
-    return _sweep("LOOK", queue, head, "request")
+    return _sweep("LOOK", instance, "request")
 
 
-def schedule_odsa(queue: Sequence[Track], head: Track) -> Schedule:
-    """Single monotone sweep: sort the queue, jump straight to the nearer
-    extreme (servicing only the request it lands on; a tie starts from the
-    low end), then sweep across to the far extreme servicing everything in
-    passing.
+def schedule_odsa(instance: Instance) -> Schedule:
+    """Single monotone sweep over the sorted tracks: jump straight to the
+    nearer extreme (servicing only the request it lands on; a tie starts from
+    the low end), then sweep across to the far extreme servicing everything
+    in passing.
 
     total_seek = min(|head-lowest|, |head-highest|) + (highest - lowest),
     which is the minimum possible for a static queue.
     """
-    order = sorted(queue)
-    if order and abs(head - order[0]) > abs(head - order[-1]):
-        order.reverse()
-    return Schedule("ODSA", head, tuple(order))
+    tracks, head = instance.tracks, instance.head
+    if tracks and abs(head - tracks[0]) > abs(head - tracks[-1]):
+        tracks = tracks[::-1]
+    return Schedule("ODSA", head, tracks)
 
 
-def brute_force_optimal(queue: Sequence[Track], head: Track) -> Schedule:
+def brute_force_optimal(instance: Instance) -> Schedule:
     """Exact oracle: the cheapest service order, by dynamic programming over
-    the blocks of the sorted queue.
+    the blocks of the sorted tracks.
 
     Some cheapest order always services a growing contiguous block of
-    ``t = sorted(queue)``: each request is taken when the head first passes
+    ``t = instance.tracks``: each request is taken when the head first passes
     it. A state ``(i, j, end)`` means ``t[i..j]`` are serviced and the head
     stands at ``t[i]`` (end 0) or ``t[j]`` (end 1); each step extends the
     block down to ``t[i-1]`` or up to ``t[j+1]``. The cost-to-go of every
@@ -255,14 +251,13 @@ def brute_force_optimal(queue: Sequence[Track], head: Track) -> Schedule:
     would resolve them. The search never consults ODSA's closed form, so it
     can check it.
 
-    Raises SchedulingError beyond ORACLE_MAX_REQUESTS requests.
+    Raises SchedulingError beyond ORACLE_MAX_REQUESTS requests, before the
+    tracks are sorted.
     """
-    if len(queue) > ORACLE_MAX_REQUESTS:
-        raise SchedulingError(
-            f"{len(queue)} requests exceed the oracle bound of {ORACLE_MAX_REQUESTS}"
-        )
-    t = sorted(queue)
-    n = len(t)
+    n = len(instance.queue)
+    if n > ORACLE_MAX_REQUESTS:
+        raise SchedulingError(f"{n} requests exceed the oracle bound of {ORACLE_MAX_REQUESTS}")
+    t, head = instance.tracks, instance.head
     if not n:
         return Schedule("OPTIMAL", head, ())
     # Cost-to-go of the blocks of the current width, indexed by i, with the
@@ -282,4 +277,4 @@ def brute_force_optimal(queue: Sequence[Track], head: Track) -> Schedule:
         new_high.append(t[n - 1] + down[-1])
         at_low, at_high = new_low, new_high
     first = min(range(n), key=lambda k: abs(head - t[k]) + at_low[k])
-    return Schedule("OPTIMAL", head, (*t[first:], *t[:first][::-1]))
+    return Schedule("OPTIMAL", head, t[first:] + t[:first][::-1])

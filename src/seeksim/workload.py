@@ -46,7 +46,8 @@ def reference_case(case_id: int) -> tuple[tuple[int, ...], int, DiskGeometry]:
     return tracks, head, DiskGeometry()
 
 
-def _seeded_rng(seed: int) -> random.Random:
+def _seeded_rng(seed: int):
+    """Return a random.Random seeded with ``seed``."""
     import random  # only gen and verify draw, so a run need not load it
     if not 0 <= seed < 2**64:  # random.Random(-N) draws exactly Random(N)'s values
         raise SchedulingError("seed must fit in 64 unsigned bits")

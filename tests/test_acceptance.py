@@ -12,12 +12,20 @@ import sys
 import time
 from fractions import Fraction
 
-from seeksim.model import TransferModel, average_seek, transfer_time, validate_instance
+from seeksim.model import (
+    DiskGeometry,
+    TransferModel,
+    average_seek,
+    transfer_time,
+    validate_instance,
+)
 from seeksim.report import display, run_comparison, run_property_campaign
 from seeksim.schedulers import (
+    schedule_cscan,
     schedule_fifo,
     schedule_look,
     schedule_odsa,
+    schedule_scan,
     schedule_sstf,
 )
 from seeksim.workload import reference_case
@@ -51,6 +59,13 @@ TABLES = {
         "ODSA": ("21.25", "21.26191"),
     },
 }
+
+
+def spanning(queue, head):
+    """A validated instance on a geometry that just spans the queue and the
+    head; FIFO, SSTF, LOOK and ODSA never read it."""
+    geometry = DiskGeometry(min((head, *queue)), max((head, *queue)) + 1)
+    return validate_instance(queue, head, geometry)
 
 
 def case_report(case_id):
@@ -112,8 +127,8 @@ def test_criterion_4_look_divergence_documented():
     # the published totals (37.5*8=300, 23.875*8=191) match neither direction
     assert 300 not in {285, 195} and 191 not in {150}
 
-    assert schedule_look(list(q1), h1).total_seek == 285  # average 35.625
-    assert schedule_look(list(q2), h2).total_seek == 150  # average 18.75
+    assert schedule_look(validate_instance(q1, h1)).total_seek == 285  # average 35.625
+    assert schedule_look(validate_instance(q2, h2)).total_seek == 150  # average 18.75
 
     for case_id, published in ((1, "37.5"), (2, "23.875")):
         proc = subprocess.run(
@@ -129,8 +144,7 @@ def test_criterion_4_look_divergence_documented():
 
 
 def test_criterion_5_worked_illustration():
-    queue, head, _ = reference_case(1)
-    s = schedule_odsa(queue, head)
+    s = schedule_odsa(validate_instance(*reference_case(1)))
     assert s.service_order == (10, 25, 46, 62, 74, 111, 151, 170)
     assert s.head_path()[:2] == (45, 10)
     assert s.step_seeks[0] == 35
@@ -167,33 +181,33 @@ def test_criterion_7_invariance_suite():
         "LOOK": schedule_look,
         "ODSA": schedule_odsa,
     }
-    from seeksim.model import DiskGeometry
-    from seeksim.schedulers import schedule_cscan, schedule_scan
-
     geom = DiskGeometry()
     violations = []
     for trial in range(500):
         n = rng.randint(1, 8)
         head = rng.randint(0, 180)
         queue = [rng.randint(0, 180) for _ in range(n)]
-        base = {name: algo(queue, head).total_seek for name, algo in geometry_free.items()}
+        inst = spanning(queue, head)
+        base = {name: algo(inst).total_seek for name, algo in geometry_free.items()}
 
         shift = rng.randint(-min(queue + [head]), 60)
-        moved_queue = [t + shift for t in queue]
-        mirrored_queue = [180 - t for t in queue]
+        moved = spanning([t + shift for t in queue], head + shift)
+        mirrored = spanning([180 - t for t in queue], 180 - head)
         for name, algo in geometry_free.items():
-            if algo(moved_queue, head + shift).total_seek != base[name]:
+            if algo(moved).total_seek != base[name]:
                 violations.append(("translation", name, queue, head, shift))
-            if algo(mirrored_queue, 180 - head).total_seek != base[name]:
+            if algo(mirrored).total_seek != base[name]:
                 violations.append(("reflection", name, queue, head))
 
         shuffled = rng.sample(queue, len(queue))
         for name, algo in (("SSTF", schedule_sstf), ("LOOK", schedule_look), ("ODSA", schedule_odsa)):
-            if algo(shuffled, head).total_seek != base[name]:
+            if algo(spanning(shuffled, head)).total_seek != base[name]:
                 violations.append(("order", name, queue, head))
-        if schedule_scan(shuffled, head, geom).total_seek != schedule_scan(queue, head, geom).total_seek:
+        arrived = validate_instance(queue, head, geom)
+        permuted = validate_instance(shuffled, head, geom)
+        if schedule_scan(permuted).total_seek != schedule_scan(arrived).total_seek:
             violations.append(("order", "SCAN", queue, head))
-        if schedule_cscan(shuffled, head, geom).total_seek != schedule_cscan(queue, head, geom).total_seek:
+        if schedule_cscan(permuted).total_seek != schedule_cscan(arrived).total_seek:
             violations.append(("order", "C-SCAN", queue, head))
     assert violations == []
     print("PASS criterion 7: 500-instance invariance suite, zero violations")

@@ -4,9 +4,13 @@ and table rendering once needed at import; no command loads ``typing``
 (annotations are never evaluated); and ``import seeksim`` exports
 exactly the public names pinned here, so any change to them is a test edit."""
 
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -131,3 +135,28 @@ def test_removed_names_stay_gone(name):
 def test_removed_modules_stay_gone():
     with pytest.raises(ModuleNotFoundError):
         import seeksim.metrics  # noqa: F401
+
+
+def _defined_functions():
+    """Every function and method defined in seeksim's modules, with the
+    function behind each value derived on first read."""
+    for info in pkgutil.iter_modules(seeksim.__path__, "seeksim."):
+        module = importlib.import_module(info.name)
+        for value in vars(module).values():
+            members = vars(value).values() if isinstance(value, type) else (value,)
+            for member in members:
+                fn = getattr(member, "_compute", getattr(member, "__func__", member))
+                if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                    yield fn
+
+
+def test_every_annotation_resolves():
+    # Annotations are never evaluated at run time, so a name that is not
+    # imported only breaks tools that do evaluate them.
+    unresolved = []
+    for fn in _defined_functions():
+        try:
+            typing.get_type_hints(fn)
+        except NameError:
+            unresolved.append(f"{fn.__module__}.{fn.__qualname__}")
+    assert unresolved == []

@@ -9,7 +9,8 @@ from itertools import permutations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seeksim.model import DiskGeometry, Schedule
+from seeksim.model import DiskGeometry, Schedule, validate_instance
+from seeksim.report import ALGORITHM_ORDER, ORACLE_NAME, run_schedule
 from seeksim.schedulers import (
     brute_force_optimal,
     schedule_cscan,
@@ -34,6 +35,14 @@ GEOMETRY_FREE = {
 }
 
 
+def instance(queue, head, geometry=None):
+    """A validated instance; by default on a geometry that just spans the
+    queue and the head, which only SCAN and C-SCAN read."""
+    if geometry is None:
+        geometry = DiskGeometry(min((head, *queue)), max((head, *queue)) + 1)
+    return validate_instance(queue, head, geometry)
+
+
 def _brute_force_reference(queue, head):
     """Exhaustive search over every service order, keeping the cheapest; ties
     resolve to the lexicographically smallest order. The oracle for the
@@ -56,13 +65,14 @@ def _brute_force_reference(queue, head):
 
 
 def all_schedules(queue, head):
+    inst = instance(queue, head, GEOM)
     return {
-        "FIFO": schedule_fifo(queue, head),
-        "SSTF": schedule_sstf(queue, head),
-        "SCAN": schedule_scan(queue, head, GEOM),
-        "C-SCAN": schedule_cscan(queue, head, GEOM),
-        "LOOK": schedule_look(queue, head),
-        "ODSA": schedule_odsa(queue, head),
+        "FIFO": schedule_fifo(inst),
+        "SSTF": schedule_sstf(inst),
+        "SCAN": schedule_scan(inst),
+        "C-SCAN": schedule_cscan(inst),
+        "LOOK": schedule_look(inst),
+        "ODSA": schedule_odsa(inst),
     }
 
 
@@ -85,21 +95,22 @@ def test_schedule_step_seeks_are_path_distances(queue, head):
 def test_odsa_closed_form(queue, head):
     lo, hi = min(queue), max(queue)
     expected = min(abs(head - lo), abs(head - hi)) + (hi - lo)
-    assert schedule_odsa(queue, head).total_seek == expected
+    assert schedule_odsa(instance(queue, head)).total_seek == expected
 
 
 @given(queues, heads)
 def test_odsa_sweep_is_monotone(queue, head):
-    order = schedule_odsa(queue, head).service_order
+    order = schedule_odsa(instance(queue, head)).service_order
     assert order == tuple(sorted(order)) or order == tuple(sorted(order, reverse=True))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(tracks, min_size=1, max_size=6), heads)
 def test_odsa_matches_exhaustive_oracle(queue, head):
-    odsa = schedule_odsa(queue, head).total_seek
+    inst = instance(queue, head)
+    odsa = schedule_odsa(inst).total_seek
     assert odsa == _brute_force_reference(queue, head).total_seek
-    assert odsa == brute_force_optimal(queue, head).total_seek
+    assert odsa == brute_force_optimal(inst).total_seek
 
 
 # Narrow spans make duplicate tracks and equal-cost orders common.
@@ -123,9 +134,9 @@ small_instances = st.integers(1, 12).flatmap(
 @example(([0, 100, 100], 90))
 @example(([0, 10, 40], 10))
 @example(([40, 60], 50))
-def test_oracle_matches_brute_force_reference(instance):
-    queue, head = instance
-    got = brute_force_optimal(queue, head)
+def test_oracle_matches_brute_force_reference(drawn):
+    queue, head = drawn
+    got = brute_force_optimal(instance(queue, head))
     want = _brute_force_reference(queue, head)
     assert got.service_order == want.service_order
     assert got.total_seek == want.total_seek
@@ -143,24 +154,16 @@ def test_odsa_dominates_every_baseline(queue, head):
 def test_total_seek_ignores_queue_order_except_fifo(queue, head, rnd):
     shuffled = queue[:]
     rnd.shuffle(shuffled)
-    assert schedule_sstf(shuffled, head).total_seek == schedule_sstf(queue, head).total_seek
-    assert schedule_look(shuffled, head).total_seek == schedule_look(queue, head).total_seek
-    assert schedule_odsa(shuffled, head).total_seek == schedule_odsa(queue, head).total_seek
-    assert (
-        schedule_scan(shuffled, head, GEOM).total_seek
-        == schedule_scan(queue, head, GEOM).total_seek
-    )
-    assert (
-        schedule_cscan(shuffled, head, GEOM).total_seek
-        == schedule_cscan(queue, head, GEOM).total_seek
-    )
+    arrived, permuted = instance(queue, head, GEOM), instance(shuffled, head, GEOM)
+    for algo in (schedule_sstf, schedule_look, schedule_odsa, schedule_scan, schedule_cscan):
+        assert algo(permuted).total_seek == algo(arrived).total_seek, algo.__name__
 
 
 @given(queues, heads, st.integers(0, 200))
 def test_translation_invariance(queue, head, shift):
     for name, algo in GEOMETRY_FREE.items():
-        base = algo(queue, head).total_seek
-        moved = algo([t + shift for t in queue], head + shift).total_seek
+        base = algo(instance(queue, head)).total_seek
+        moved = algo(instance([t + shift for t in queue], head + shift)).total_seek
         assert base == moved, name
 
 
@@ -168,20 +171,43 @@ def test_translation_invariance(queue, head, shift):
 def test_reflection_invariance(queue, head):
     mirrored = [180 - t for t in queue]
     for name, algo in GEOMETRY_FREE.items():
-        assert algo(queue, head).total_seek == algo(mirrored, 180 - head).total_seek, name
+        mirror = instance(mirrored, 180 - head)
+        assert algo(instance(queue, head)).total_seek == algo(mirror).total_seek, name
 
 
 @given(queues)
 def test_head_on_a_request_is_serviced_first_by_sstf(queue):
     head = queue[0]
-    order = schedule_sstf(queue, head).service_order
+    order = schedule_sstf(instance(queue, head)).service_order
     assert order[0] == head
 
 
 @given(st.lists(tracks, min_size=1, max_size=7), heads)
 def test_duplicates_are_serviced_consecutively_by_sstf(queue, head):
     doubled = queue + queue[:1]
-    order = schedule_sstf(doubled, head).service_order
+    order = schedule_sstf(instance(doubled, head)).service_order
     for value in set(order):
         hits = [i for i, t in enumerate(order) if t == value]
         assert hits == list(range(hits[0], hits[0] + len(hits)))
+
+
+# Geometries off the default, some wholly below track 0. The examples put a
+# sweep's end stops outside the default [0, 180] but inside their own disk.
+@st.composite
+def instances_on_any_geometry(draw):
+    low = draw(st.integers(-300, 300))
+    geometry = DiskGeometry(low, draw(st.integers(low + 1, low + 400)))
+    inside = st.integers(geometry.min_track, geometry.max_track)
+    return validate_instance(draw(st.lists(inside, max_size=10)), draw(inside), geometry)
+
+
+@given(instances_on_any_geometry())
+@example(validate_instance((500, 3), 10, DiskGeometry(3, 600)))
+@example(validate_instance((500,), 10, DiskGeometry(-5, 600)))
+@example(validate_instance((-50, -10), -40, DiskGeometry(-60, -5)))
+def test_every_stop_lies_inside_the_geometry(inst):
+    ends = {inst.geometry.min_track, inst.geometry.max_track}
+    for name in ALGORITHM_ORDER + (ORACLE_NAME,):
+        schedule = run_schedule(name, inst)
+        assert all(inst.geometry.contains(t) for t in schedule.stops), name
+        assert set(schedule.preliminary_moves) <= ends, name

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seeksim import schedulers
-from seeksim.model import DiskGeometry, SchedulingError
+from seeksim.model import DiskGeometry, SchedulingError, validate_instance
 from seeksim.schedulers import (
     ORACLE_MAX_REQUESTS,
     brute_force_optimal,
@@ -31,51 +31,56 @@ from seeksim.workload import reference_case
 GEOM = DiskGeometry()
 
 
+def instance(queue, head, geometry=None):
+    """A validated instance; by default on a geometry that just spans the
+    queue and the head, which only SCAN and C-SCAN read."""
+    if geometry is None:
+        geometry = DiskGeometry(min((head, *queue)), max((head, *queue)) + 1)
+    return validate_instance(queue, head, geometry)
+
+
 def case(case_id):
-    queue, head, _ = reference_case(case_id)
-    return list(queue), head
+    return validate_instance(*reference_case(case_id))
 
 
 # ---------------------------------------------------------------- FIFO
 
 def test_fifo_case1():
-    q, h = case(1)
-    s = schedule_fifo(q, h)
-    assert s.service_order == tuple(q)
+    inst = case(1)
+    s = schedule_fifo(inst)
+    assert s.service_order == inst.queue
     assert s.total_seek == 384
     assert s.step_seeks == (20, 15, 141, 19, 108, 16, 28, 37)
 
 
 def test_fifo_case2():
-    q, h = case(2)
-    assert schedule_fifo(q, h).total_seek == 311
+    assert schedule_fifo(case(2)).total_seek == 311
 
 
 def test_fifo_case3():
-    q, h = case(3)
-    assert schedule_fifo(q, h).total_seek == 283
+    assert schedule_fifo(case(3)).total_seek == 283
 
 
 def test_fifo_single_request():
-    assert schedule_fifo([100], 45).total_seek == 55
+    assert schedule_fifo(instance([100], 45)).total_seek == 55
 
 
 # ---------------------------------------------------------------- SSTF
 
 def test_sstf_case1():
-    s = schedule_sstf(*case(1))
+    s = schedule_sstf(case(1))
     assert s.service_order == (46, 62, 74, 111, 151, 170, 25, 10)
     assert s.total_seek == 285
 
 
 def test_sstf_case2():
-    s = schedule_sstf(*case(2))
+    s = schedule_sstf(case(2))
     assert s.service_order == (63, 75, 80, 116, 30, 24, 21, 16)
     assert s.total_seek == 156
 
 
 def test_sstf_case3():
-    s = schedule_sstf(*case(3))
+    s = schedule_sstf(case(3))
     assert s.service_order == (110, 90, 64, 54, 40, 33, 25, 160)
     assert s.total_seek == 235
 
@@ -83,27 +88,27 @@ def test_sstf_case3():
 def test_sstf_tie_resolves_low_when_costs_equal():
     # both orders cost 30 (verified by the oracle below), so the tie falls
     # back to the lower track
-    s = schedule_sstf([40, 60], 50)
+    s = schedule_sstf(instance([40, 60], 50))
     assert s.service_order == (40, 60)
     assert s.total_seek == 30
-    assert brute_force_optimal([40, 60], 50).total_seek == 30
+    assert brute_force_optimal(instance([40, 60], 50)).total_seek == 30
 
 
 def test_sstf_tie_prefers_cheaper_continuation():
     # 50 -> 40 -> 60 -> 100 costs 70; 50 -> 60 -> 40 -> 100 costs 90
-    s = schedule_sstf([40, 60, 100], 50)
+    s = schedule_sstf(instance([40, 60, 100], 50))
     assert s.service_order == (40, 60, 100)
     assert s.total_seek == 70
 
 
 def test_sstf_duplicates_serviced_consecutively():
-    s = schedule_sstf([50, 50, 30], 40)
+    s = schedule_sstf(instance([50, 50, 30], 40))
     assert s.service_order == (30, 50, 50)
     assert s.total_seek == 30
 
 
 def test_sstf_request_at_head_goes_first():
-    s = schedule_sstf([45, 45, 60], 45)
+    s = schedule_sstf(instance([45, 45, 60], 45))
     assert s.service_order == (45, 45, 60)
     assert s.total_seek == 15
 
@@ -113,7 +118,7 @@ def test_sstf_nested_tie_decides_the_first():
     # costs 34. After 13, 7 and 19 tie again at 6: 13, 7, 0, 19 costs 35 in
     # all and 13, 19, 7, 0 costs 28. Only pricing the nested tie makes the
     # upper side the cheaper one at the first tie.
-    s = schedule_sstf([0, 7, 13, 19], 10)
+    s = schedule_sstf(instance([0, 7, 13, 19], 10))
     assert s.service_order == (13, 19, 7, 0)
     assert s.total_seek == 28
 
@@ -124,7 +129,7 @@ def test_sstf_long_chain_of_exact_ties():
     # down to the lowest request is the cheapest continuation.
     head = 2**1100
     queue = [head + 1] + [head - (2**i - 1) for i in range(1100)]
-    s = schedule_sstf(queue, head)
+    s = schedule_sstf(instance(queue, head))
     assert sorted(s.service_order) == sorted(queue)
     assert s.service_order[:3] == (head, head + 1, head - 1)
     assert s.total_seek == 2**1099 + 1
@@ -138,7 +143,7 @@ def test_sstf_run_stops_at_a_tie_behind_duplicates(reflect):
     queue, head, order = [0, 4, 6, 6, 8, 11], 7, (6, 6, 8, 11, 4, 0)
     if reflect:
         queue, head, order = [11 - x for x in queue], 11 - head, tuple(11 - x for x in order)
-    s = schedule_sstf(queue, head)
+    s = schedule_sstf(instance(queue, head))
     assert s.service_order == order
     assert s.total_seek == 17
 
@@ -192,7 +197,7 @@ tie_heavy_queues = st.lists(
 @example([1, 3, 4, 6, 8, 8, 8, 8, 8], 5)
 def test_sstf_matches_recursive_reference(queue, head):
     total, order = _reference_sstf_run(head, sorted(queue))
-    s = schedule_sstf(queue, head)
+    s = schedule_sstf(instance(queue, head))
     assert s.service_order == tuple(order)
     assert s.total_seek == total
 
@@ -205,8 +210,9 @@ def test_sstf_scales_near_linearly():
         queue = [rng.randint(0, 10**6) for _ in range(n)]
         best = float("inf")
         for _ in range(3):
+            inst = instance(queue, 50_000)  # fresh, so each run sorts its tracks
             start = time.perf_counter()
-            schedule_sstf(queue, 50_000)
+            schedule_sstf(inst)
             best = min(best, time.perf_counter() - start)
         return best
 
@@ -313,7 +319,7 @@ sstf_families = {
 def test_sstf_matches_one_step_reference(family, data):
     queue, head = data.draw(sstf_families[family])
     order, total = _reference_sstf(queue, head)
-    s = schedule_sstf(queue, head)
+    s = schedule_sstf(instance(queue, head))
     assert s.service_order == order
     assert s.total_seek == total
 
@@ -354,7 +360,7 @@ def test_sstf_walk_jumps_stay_within_the_stated_bound(family, data):
             return result
 
         mp.setattr(schedulers, "_walk", checked_walk)
-        schedule_sstf(queue, head)
+        schedule_sstf(instance(queue, head))
 
 
 def _memo_peak(queue, head):
@@ -368,7 +374,7 @@ def _memo_peak(queue, head):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(schedulers, "_finish_cost", recording)
-        schedule_sstf(queue, head)
+        schedule_sstf(instance(queue, head))
     return peak[0]
 
 
@@ -396,7 +402,7 @@ def test_sstf_serves_a_run_with_one_bisect(up):
     queue = [head + sign * i for i in range(1, 1001)] + [head - sign * head]
     with pytest.MonkeyPatch.context() as mp:
         calls = _counting_bisects(mp)
-        s = schedule_sstf(queue, head)
+        s = schedule_sstf(instance(queue, head))
     assert s.service_order[:1000] == tuple(queue[:1000])
     assert calls[0] <= 2  # the starting position and the one jump
 
@@ -409,7 +415,7 @@ def test_sstf_tie_chain_bisects_grow_with_the_chain_not_the_cluster():
     for m, k in ((10**4, 100), (4 * 10**4, 400)):
         with pytest.MonkeyPatch.context() as mp:
             calls = _counting_bisects(mp)
-            schedule_sstf(*_cluster_chain(m, k))
+            schedule_sstf(instance(*_cluster_chain(m, k)))
             counts.append(calls[0])
     assert counts[1] <= 4 * counts[0] + 8
 
@@ -422,8 +428,9 @@ def test_sstf_tie_chain_scales_near_linearly():
         queue, head = _cluster_chain(m, k)
         best = float("inf")
         for _ in range(5):
+            inst = instance(queue, head)  # fresh, so each run sorts its tracks
             start = time.perf_counter()
-            schedule_sstf(queue, head)
+            schedule_sstf(inst)
             best = min(best, time.perf_counter() - start)
         return best
 
@@ -433,7 +440,7 @@ def test_sstf_tie_chain_scales_near_linearly():
 # ---------------------------------------------------------------- SCAN
 
 def test_scan_case1_sweeps_up_to_disk_end():
-    s = schedule_scan(*case(1), GEOM)
+    s = schedule_scan(case(1))
     assert s.service_order == (46, 62, 74, 111, 151, 170, 25, 10)
     assert s.preliminary_moves == (180,)
     assert s.head_path() == (45, 46, 62, 74, 111, 151, 170, 180, 25, 10)
@@ -441,42 +448,35 @@ def test_scan_case1_sweeps_up_to_disk_end():
 
 
 def test_scan_case2_sweeps_down():
-    s = schedule_scan(*case(2), GEOM)
+    s = schedule_scan(case(2))
     assert s.preliminary_moves == (0,)
     assert s.service_order == (63, 30, 24, 21, 16, 75, 80, 116)
     assert s.total_seek == 182
 
 
 def test_scan_case3():
-    s = schedule_scan(*case(3), GEOM)
+    s = schedule_scan(case(3))
     assert s.total_seek == 285
     assert s.preliminary_moves == (0,)
 
 
 def test_scan_request_at_physical_end_is_serviced_there():
-    s = schedule_scan([50, 180], 45, GEOM)
+    s = schedule_scan(instance([50, 180], 45, GEOM))
     assert s.service_order == (50, 180)
     assert s.preliminary_moves == ()
     assert s.total_seek == 135
 
 
 def test_scan_runs_to_end_even_with_nothing_behind():
-    s = schedule_scan([50], 45, GEOM)
+    s = schedule_scan(instance([50], 45, GEOM))
     assert s.preliminary_moves == (180,)
     assert s.total_seek == 135
 
 
-@pytest.mark.parametrize(
-    "run",
-    [
-        lambda q, h: schedule_scan(q, h, GEOM),
-        lambda q, h: schedule_cscan(q, h, GEOM),
-        schedule_look,
-    ],
-)
+@pytest.mark.parametrize("run", [schedule_scan, schedule_cscan, schedule_look])
 def test_downward_sweep_ending_on_min_track_adds_no_stop(run):
     # mirror of test_scan_request_at_physical_end_is_serviced_there
-    s = run([130, 0], 135)
+    s = run(instance([130, 0], 135, GEOM))
     assert s.service_order == (130, 0)
     assert s.preliminary_moves == ()
     assert s.total_seek == 135
@@ -485,14 +485,14 @@ def test_downward_sweep_ending_on_min_track_adds_no_stop(run):
 @pytest.mark.parametrize(
     "run,moves,steps",
     [
-        (lambda q, h: schedule_scan(q, h, GEOM), (0,), (0, 0, 30, 10, 10, 100)),
-        (lambda q, h: schedule_cscan(q, h, GEOM), (0, 180), (0, 0, 30, 10, 10, 180, 80)),
+        (schedule_scan, (0,), (0, 0, 30, 10, 10, 100)),
+        (schedule_cscan, (0, 180), (0, 0, 30, 10, 10, 180, 80)),
         (schedule_look, (), (0, 0, 30, 10, 90)),
     ],
 )
 def test_head_on_request_sweeping_down_services_it_first(run, moves, steps):
     # two below vs one above: the requests at the head go first, then down
-    s = run([50, 20, 100, 10, 50], 50)
+    s = run(instance([50, 20, 100, 10, 50], 50, GEOM))
     assert s.service_order == (50, 50, 20, 10, 100)
     assert s.preliminary_moves == moves
     assert s.step_seeks == steps
@@ -501,7 +501,7 @@ def test_head_on_request_sweeping_down_services_it_first(run, moves, steps):
 # ---------------------------------------------------------------- C-SCAN
 
 def test_cscan_case1_wrap_costs_full_width():
-    s = schedule_cscan(*case(1), GEOM)
+    s = schedule_cscan(case(1))
     assert s.service_order == (46, 62, 74, 111, 151, 170, 10, 25)
     assert s.preliminary_moves == (180, 0)
     assert s.step_seeks == (1, 16, 12, 37, 40, 19, 10, 180, 10, 15)
@@ -509,19 +509,19 @@ def test_cscan_case1_wrap_costs_full_width():
 
 
 def test_cscan_case2():
-    s = schedule_cscan(*case(2), GEOM)
+    s = schedule_cscan(case(2))
     assert s.service_order == (63, 30, 24, 21, 16, 116, 80, 75)
     assert s.preliminary_moves == (0, 180)
     assert s.total_seek == 351
 
 
 def test_cscan_case3():
-    s = schedule_cscan(*case(3), GEOM)
+    s = schedule_cscan(case(3))
     assert s.total_seek == 325
 
 
 def test_cscan_no_wrap_when_nothing_remains():
-    s = schedule_cscan([50], 45, GEOM)
+    s = schedule_cscan(instance([50], 45, GEOM))
     assert s.preliminary_moves == (180,)
     assert s.total_seek == 135
 
@@ -529,7 +529,7 @@ def test_cscan_no_wrap_when_nothing_remains():
 def test_cscan_wrap_landing_on_requested_end_track():
     # direction ties 1v1, nearer extreme is 0 -> sweep down; wrap lands on a
     # serviced request at 180
-    s = schedule_cscan([0, 180], 45, GEOM)
+    s = schedule_cscan(instance([0, 180], 45, GEOM))
     assert s.service_order == (0, 180)
     assert s.preliminary_moves == ()
     assert s.total_seek == 225
@@ -538,39 +538,39 @@ def test_cscan_wrap_landing_on_requested_end_track():
 # ---------------------------------------------------------------- LOOK
 
 def test_look_case1():
-    s = schedule_look(*case(1))
+    s = schedule_look(case(1))
     assert s.service_order == (46, 62, 74, 111, 151, 170, 25, 10)
     assert s.preliminary_moves == ()
     assert s.total_seek == 285
 
 
 def test_look_case2():
-    s = schedule_look(*case(2))
+    s = schedule_look(case(2))
     assert s.service_order == (63, 30, 24, 21, 16, 75, 80, 116)
     assert s.total_seek == 150
 
 
 def test_look_case3():
-    s = schedule_look(*case(3))
+    s = schedule_look(case(3))
     assert s.service_order == (110, 90, 64, 54, 40, 33, 25, 160)
     assert s.total_seek == 235
 
 
 def test_look_direction_majority_wins():
     # two below vs one above: sweep down first
-    s = schedule_look([10, 20, 100], 50)
+    s = schedule_look(instance([10, 20, 100], 50))
     assert s.service_order == (20, 10, 100)
 
 
 def test_look_direction_tie_goes_to_nearer_extreme():
     # one each side; 60 is nearer than 10 -> up first
-    s = schedule_look([10, 60], 50)
+    s = schedule_look(instance([10, 60], 50))
     assert s.service_order == (60, 10)
     assert s.total_seek == 60
 
 
 def test_look_full_tie_sweeps_up():
-    s = schedule_look([40, 60], 50)
+    s = schedule_look(instance([40, 60], 50))
     assert s.service_order == (60, 40)
     assert s.total_seek == 30
 
@@ -578,7 +578,7 @@ def test_look_full_tie_sweeps_up():
 # ---------------------------------------------------------------- ODSA
 
 def test_odsa_case1_jumps_to_nearer_low_extreme():
-    s = schedule_odsa(*case(1))
+    s = schedule_odsa(case(1))
     assert s.service_order == (10, 25, 46, 62, 74, 111, 151, 170)
     assert s.step_seeks == (35, 15, 21, 16, 12, 37, 40, 19)
     assert s.total_seek == 195
@@ -586,33 +586,33 @@ def test_odsa_case1_jumps_to_nearer_low_extreme():
 
 
 def test_odsa_case2_tie_starts_low():
-    s = schedule_odsa(*case(2))
+    s = schedule_odsa(case(2))
     assert s.service_order == (16, 21, 24, 30, 63, 75, 80, 116)
     assert s.total_seek == 150
 
 
 def test_odsa_case3_jumps_high_and_sweeps_down():
-    s = schedule_odsa(*case(3))
+    s = schedule_odsa(case(3))
     assert s.service_order == (160, 110, 90, 64, 54, 40, 33, 25)
     assert s.total_seek == 170
 
 
 def test_odsa_head_outside_span():
     # oracle over both permutations: [50,10] costs 90, [10,50] costs 130
-    s = schedule_odsa([10, 50], 100)
+    s = schedule_odsa(instance([10, 50], 100))
     assert s.service_order == (50, 10)
     assert s.total_seek == 90
-    assert brute_force_optimal([10, 50], 100).total_seek == 90
+    assert brute_force_optimal(instance([10, 50], 100)).total_seek == 90
 
 
 def test_odsa_plan_case1():
-    s = schedule_odsa([25, 10, 151, 170, 62, 46, 74, 111], 45)
+    s = schedule_odsa(instance([25, 10, 151, 170, 62, 46, 74, 111], 45))
     assert (s.service_order[0], s.service_order[-1]) == (10, 170)
     assert s.step_seeks[0] == 35
 
 
 def test_odsa_plan_tie_prefers_low_end():
-    s = schedule_odsa([16, 116], 66)
+    s = schedule_odsa(instance([16, 116], 66))
     assert s.service_order == (16, 116)
     assert s.step_seeks[0] == 50
 
@@ -620,27 +620,28 @@ def test_odsa_plan_tie_prefers_low_end():
 # ------------------------------------------------------ optimal-order oracle
 
 def test_oracle_matches_odsa_on_case1():
-    q, h = case(1)
-    assert brute_force_optimal(q, h).total_seek == 195
+    assert brute_force_optimal(case(1)).total_seek == 195
 
 
 def test_oracle_single_request():
-    s = brute_force_optimal([70], 45)
+    s = brute_force_optimal(instance([70], 45))
     assert s.total_seek == 25
     assert s.service_order == (70,)
 
 
 def test_oracle_empty_queue():
-    assert brute_force_optimal([], 45).total_seek == 0
+    assert brute_force_optimal(instance([], 45)).total_seek == 0
 
 
 def test_oracle_rejects_queue_over_bound():
+    inst = instance(list(range(ORACLE_MAX_REQUESTS + 1)), 45)
     with pytest.raises(SchedulingError, match="^2001 requests exceed the oracle bound of 2000$"):
-        brute_force_optimal(list(range(ORACLE_MAX_REQUESTS + 1)), 45)
+        brute_force_optimal(inst)
+    assert "tracks" not in inst.__dict__  # refused before the sort
 
 
 def test_oracle_accepts_nine_requests():
-    s = brute_force_optimal(list(range(0, 90, 10)), 45)
+    s = brute_force_optimal(instance(list(range(0, 90, 10)), 45))
     assert s.total_seek == 115  # min(|45-0|, |45-80|) + span
 
 
@@ -657,13 +658,13 @@ def test_oracle_accepts_queue_up_to_bound(n):
     else:
         up, down = [t for t in queue if t >= head], [t for t in queue if t < head]
         want = sorted(up) + sorted(down, reverse=True)
-    s = brute_force_optimal(queue, head)
+    s = brute_force_optimal(instance(queue, head))
     assert s.service_order == tuple(want)
     assert s.total_seek == min(abs(head - lo), abs(head - hi)) + (hi - lo)
 
 
 def test_oracle_tie_breaks_lexicographically():
-    s = brute_force_optimal([40, 60], 50)
+    s = brute_force_optimal(instance([40, 60], 50))
     assert s.service_order == (40, 60)
 
 
@@ -672,10 +673,10 @@ def _oracle_peak_bytes(n):
     # tracemalloc sees only the lists and tables, not millions of new ints
     # that would make tracing slow.
     rng = random.Random(n)
-    queue = [rng.randint(0, 3) for _ in range(n)]
+    inst = instance([rng.randint(0, 3) for _ in range(n)], 2)
     tracemalloc.start()
     try:
-        brute_force_optimal(queue, 2)
+        brute_force_optimal(inst)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -692,12 +693,12 @@ def test_oracle_memory_grows_linearly():
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: schedule_fifo([], 45),
-        lambda: schedule_sstf([], 45),
-        lambda: schedule_scan([], 45, GEOM),
-        lambda: schedule_cscan([], 45, GEOM),
-        lambda: schedule_look([], 45),
-        lambda: schedule_odsa([], 45),
+        lambda: schedule_fifo(instance([], 45)),
+        lambda: schedule_sstf(instance([], 45)),
+        lambda: schedule_scan(instance([], 45, GEOM)),
+        lambda: schedule_cscan(instance([], 45, GEOM)),
+        lambda: schedule_look(instance([], 45)),
+        lambda: schedule_odsa(instance([], 45)),
     ],
 )
 def test_empty_queue_gives_zero_seek_schedule(run):
@@ -710,11 +711,11 @@ def test_empty_queue_gives_zero_seek_schedule(run):
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: schedule_sstf([45, 45], 45),
-        lambda: schedule_scan([45, 45], 45, GEOM),
-        lambda: schedule_cscan([45, 45], 45, GEOM),
-        lambda: schedule_look([45, 45], 45),
-        lambda: schedule_odsa([45, 45], 45),
+        lambda: schedule_sstf(instance([45, 45], 45)),
+        lambda: schedule_scan(instance([45, 45], 45, GEOM)),
+        lambda: schedule_cscan(instance([45, 45], 45, GEOM)),
+        lambda: schedule_look(instance([45, 45], 45)),
+        lambda: schedule_odsa(instance([45, 45], 45)),
     ],
 )
 def test_all_requests_at_head_cost_nothing(run):

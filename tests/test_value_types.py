@@ -200,7 +200,7 @@ def test_campaign_summary_gets_a_new_dict_each_time():
 
 
 def test_step_seeks_is_computed_once(monkeypatch):
-    schedule = schedule_scan((25, 10, 151), 45, DiskGeometry())
+    schedule = schedule_scan(validate_instance((25, 10, 151), 45, DiskGeometry()))
     total = schedule.total_seek  # derived on its own first read, before the patch
     calls = []
     seeks = Schedule._seeks
