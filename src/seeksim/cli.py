@@ -6,12 +6,13 @@ Subcommands:
   gen     emit a seeded random request file
   verify  run the randomized oracle campaign
 
-Exit codes: 0 success, 1 campaign failure, 2 invalid input.
+Exit codes: 0 success, 1 campaign failure, 2 invalid input, 141 stdout closed early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Callable
 
@@ -31,7 +32,7 @@ from .report import (
     ALGORITHM_ORDER,
     CAMPAIGN_MAX_N,
     ORACLE_NAME,
-    emit,
+    emit_pieces,
     run_comparison,
     run_property_campaign,
 )
@@ -205,7 +206,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise SchedulingError("--paper-table needs --case (published values exist for cases 1-3)")
     model = TransferModel(args.bytes, args.track_bytes, args.rps)
     report = run_comparison(instance, model, _ALGO_TOKENS[args.algo], case_id)
-    sys.stdout.write(emit(report.rows if args.path else report, args.format, args.paper_table))
+    pieces = emit_pieces(report.rows if args.path else report, args.format, args.paper_table)
+    sys.stdout.writelines(pieces)
     return 0
 
 
@@ -241,11 +243,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        return _cmd_verify(args)
+        code = {"run": _cmd_run, "gen": _cmd_gen, "verify": _cmd_verify}[args.command](args)
+        sys.stdout.flush()  # a reader gone before the last write fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early. Point it at /dev/null, so that the
+        # flush at exit does not fail again, and exit as SIGPIPE would (128 + 13).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (SchedulingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

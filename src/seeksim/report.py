@@ -164,6 +164,11 @@ def _table_rows(report: ComparisonReport, include_published: bool) -> Iterator[t
         yield values
 
 
+# Text goes out in pieces as it is built: a table row by row, a head path in
+# chunks of this many points, so no series piece, template or encoded copy
+# grows with the queue.
+_SERIES_CHUNK = 4096
+
 # The CSV emitters join cells directly: only an algorithm name can hold a
 # comma, a quote or a line break (ints, float reprs, display strings, the
 # published values and DIVERGENCE_NOTE cannot), so only it goes through
@@ -184,9 +189,10 @@ def _csv_cell(text: str) -> str:
     return out.getvalue()[:-2]
 
 
-def _comparison_csv(report: ComparisonReport, include_published: bool) -> str:
-    lines = [",".join(_PUBLISHED_COLUMNS if include_published else _COLUMNS)]
-    for name, total, avg, transfer, order, *text in _table_rows(report, include_published):
+def _comparison_csv(report: ComparisonReport, include_published: bool) -> Iterator[str]:
+    rows = list(_table_rows(report, include_published))  # every metric before any text
+    yield ",".join(_PUBLISHED_COLUMNS if include_published else _COLUMNS) + "\n"
+    for name, total, avg, transfer, order, *text in rows:
         cells = [
             _csv_cell(name),
             str(total),
@@ -195,101 +201,107 @@ def _comparison_csv(report: ComparisonReport, include_published: bool) -> str:
             ("%s;" * len(order) % tuple(order))[:-1],
             *text,
         ]
-        lines.append(",".join(cells))
-    lines.append("")  # the final newline, without a second copy of the text
-    return "\n".join(lines)
+        yield ",".join(cells) + "\n"
 
 
-def _json_scalars(values: Sequence) -> tuple | None:
-    """``values`` as ``%`` arguments that print as json.dumps prints them, or
-    None if one of them is a container: plain ints as they are, any other
-    scalar (bool, which json.dumps prints as true/false, float, str, None)
-    through json.dumps."""
+def _json_scalars(values: Sequence) -> tuple:
+    """``values`` as ``%`` arguments that print as json.dumps prints them:
+    plain ints as they are, any other scalar (bool, which json.dumps prints
+    as true/false, float, str, None) through json.dumps."""
     import json  # slow to import; only JSON output needs it
-    types = set(map(type, values))
-    if types <= {int}:
-        return tuple(values)
-    return None if types & {dict, list, tuple} else tuple(map(json.dumps, values))
+    return tuple(values) if set(map(type, values)) <= {int} else tuple(map(json.dumps, values))
 
 
-def _json_parts(value, parts: list[str], indent: str = "\n") -> list[str]:
-    """Append the text of ``json.dumps(value, indent=2)`` to ``parts`` in
-    pieces, for a value whose line ``indent`` (a newline and spaces) opens.
-    A list of scalars takes one ``%`` call."""
-    import json
+def _json_list(values: Sequence, indent: str) -> str:
+    """The text of ``json.dumps(list(values), indent=2)`` for a list of
+    scalars whose line ``indent`` (a newline and spaces) opens."""
+    if not values:
+        return "[]"
     inner = indent + "  "
-    if isinstance(value, dict) and value:
-        sep = "{"
-        for key, item in value.items():
-            parts.append(f"{sep}{inner}{json.dumps(key)}: ")
-            _json_parts(item, parts, inner)
-            sep = ","
-        parts.append(indent + "}")
-    elif isinstance(value, (list, tuple)) and value:
-        scalars = _json_scalars(value)
-        if scalars is None:
-            sep = "["
-            for item in value:
-                parts.append(sep + inner)
-                _json_parts(item, parts, inner)
-                sep = ","
-            parts.append(indent + "]")
-        else:
-            body = ("%s," + inner) * (len(value) - 1) + "%s"
-            parts.append(("[" + inner + body + indent + "]") % scalars)
-    else:
-        parts.append(json.dumps(value))
-    return parts
+    return ("[" + inner + ("%s," + inner) * (len(values) - 1) + "%s" + indent + "]") % (
+        _json_scalars(values))
 
 
-def _comparison_json(report: ComparisonReport, include_published: bool) -> str:
-    inst, model = report.instance, report.model
-    columns = _PUBLISHED_COLUMNS if include_published else _COLUMNS
-    doc = {
-        "instance": {
-            "head": inst.head,
-            "queue": inst.queue,
-            "geometry": {"min_track": inst.geometry.min_track, "max_track": inst.geometry.max_track},
-            "model": {
-                "bytes_to_transfer": model.bytes_to_transfer,
-                "bytes_per_track": model.bytes_per_track,
-                "rotation_speed": model.rotation_speed,
-            },
-            "case": report.case_id,
-        },
-        "rows": [dict(zip(columns, values)) for values in _table_rows(report, include_published)],
-    }
-    return "".join(_json_parts(doc, []) + ["\n"])
-
-
-def _series_csv(schedules: Sequence[Schedule]) -> str:
-    lines, parts = [], ["algorithm,step,track\n"]
-    for s in schedules:
-        n = len(s.stops) + 1  # the head path's length
-        # Every series shares the step column: one line template per step.
-        lines += [f",{i},%s\n" for i in range(len(lines), n)]
-        name = _csv_cell(s.algorithm).replace("%", "%%")
-        parts.append((name + name.join(lines[:n])) % s.head_path())
-    return "".join(parts)
-
-
-def _series_json(schedules: Sequence[Schedule]) -> str:
+def _comparison_json(report: ComparisonReport, include_published: bool) -> Iterator[str]:
     import json
-    if not schedules:
-        return '{\n  "series": []\n}\n'
-    points, parts, sep = [], ['{\n  "series": '], "["
-    for s in schedules:
-        n = len(s.stops) + 1  # the head path's length
-        # Every series shares the [step, track] items: one template per step.
-        points += [f"[\n          {i},\n          %s\n        ]" for i in range(len(points), n)]
-        parts += (
-            sep, '\n    {\n      "algorithm": ', json.dumps(s.algorithm),
-            ',\n      "points": [\n        ',
-            ",\n        ".join(points[:n]) % _json_scalars(s.head_path()), "\n      ]\n    }",
-        )
+    inst, model = report.instance, report.model
+    rows = list(_table_rows(report, include_published))  # every metric before any text
+    yield '{\n  "instance": {\n    "head": %s,\n    "queue": ' % json.dumps(inst.head)
+    yield _json_list(inst.queue, "\n    ")
+    yield (
+        ',\n    "geometry": {\n      "min_track": %s,\n      "max_track": %s\n    },'
+        '\n    "model": {\n      "bytes_to_transfer": %s,\n      "bytes_per_track": %s,'
+        '\n      "rotation_speed": %s\n    },\n    "case": %s\n  },\n  "rows": '
+    ) % tuple(map(json.dumps, (
+        inst.geometry.min_track, inst.geometry.max_track, model.bytes_to_transfer,
+        model.bytes_per_track, model.rotation_speed, report.case_id,
+    )))
+    columns = _PUBLISHED_COLUMNS if include_published else _COLUMNS
+    template = "%s\n    {\n      " + ",\n      ".join(f'"{c}": %s' for c in columns) + "\n    }"
+    sep = "["
+    for name, total, avg, transfer, order, *text in rows:
+        yield template % (sep, *map(json.dumps, (name, total, avg, transfer)),
+                          _json_list(order, "\n      "), *map(json.dumps, text))
         sep = ","
-    parts.append("\n  ]\n}\n")
-    return "".join(parts)
+    yield "\n  ]\n}\n" if rows else "[]\n}\n"
+
+
+def _path_chunks(path: tuple, line: str, templates: dict) -> Iterator[tuple[int, str, tuple]]:
+    """A head path in chunks of at most _SERIES_CHUNK points, each with its
+    first step and a template: ``line`` per point, its step filled in and "%s"
+    left for its track, shared through ``templates`` by paths of equal length."""
+    for step in range(0, len(path), _SERIES_CHUNK):
+        points = path[step:step + _SERIES_CHUNK]
+        key = step, len(points)
+        if key not in templates:
+            templates[key] = line * len(points) % tuple(range(step, step + len(points)))
+        yield step, templates[key], points
+
+
+def _series_csv(schedules: Sequence[Schedule]) -> Iterator[str]:
+    yield "algorithm,step,track"  # every line below starts with its line break
+    templates: dict[tuple[int, int], str] = {}
+    for s in schedules:
+        name = "\n" + _csv_cell(s.algorithm).replace("%", "%%")
+        for _, template, points in _path_chunks(s.head_path(), "\n,%d,%%s", templates):
+            yield template.replace("\n", name) % points
+    yield "\n"
+
+
+def _series_json(schedules: Sequence[Schedule]) -> Iterator[str]:
+    import json
+    yield '{\n  "series": '
+    templates: dict[tuple[int, int], str] = {}
+    point = ",\n        [\n          %d,\n          %%s\n        ]"
+    sep = "["
+    for s in schedules:
+        yield (f'{sep}\n    {{\n      "algorithm": {json.dumps(s.algorithm)},'
+               '\n      "points": [')
+        for step, template, points in _path_chunks(s.head_path(), point, templates):
+            text = template % _json_scalars(points)
+            yield text if step else text[1:]  # no comma before the first point
+        yield "\n      ]\n    }"
+        sep = ","
+    yield "\n  ]\n}\n" if schedules else "[]\n}\n"
+
+
+def emit_pieces(
+    report: ComparisonReport | Sequence[Schedule],
+    format: str = "csv",
+    include_published: bool = False,
+) -> Iterator[str]:
+    """``emit``'s text in pieces, to write as they come: a table row by row, a
+    head path in chunks of _SERIES_CHUNK points. Bad arguments raise here, and
+    an overflowing metric before the first piece."""
+    if format not in ("csv", "json"):
+        raise SchedulingError(f"unknown format {format!r}")
+    if isinstance(report, ComparisonReport):
+        if include_published and report.case_id not in PUBLISHED_TABLES:
+            raise SchedulingError("published values exist only for benchmark cases 1-3")
+        return (_comparison_csv if format == "csv" else _comparison_json)(report, include_published)
+    if include_published:
+        raise SchedulingError("published values apply to comparison reports only")
+    return _series_csv(report) if format == "csv" else _series_json(report)
 
 
 def emit(
@@ -305,17 +317,7 @@ def emit(
     ``include_published`` appends the originally published table values and a
     divergence note; it requires a report built from a benchmark case.
     """
-    if format not in ("csv", "json"):
-        raise SchedulingError(f"unknown format {format!r}")
-    if isinstance(report, ComparisonReport):
-        if include_published and report.case_id not in PUBLISHED_TABLES:
-            raise SchedulingError("published values exist only for benchmark cases 1-3")
-        if format == "csv":
-            return _comparison_csv(report, include_published)
-        return _comparison_json(report, include_published)
-    if include_published:
-        raise SchedulingError("published values apply to comparison reports only")
-    return _series_csv(report) if format == "csv" else _series_json(report)
+    return "".join(emit_pieces(report, format, include_published))
 
 
 CAMPAIGN_MAX_N = 8

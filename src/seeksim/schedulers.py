@@ -13,9 +13,9 @@ conventions:
 
 Sweep direction (SCAN, C-SCAN, LOOK): move toward the side holding more
 pending requests; if the sides tie, toward the nearer extreme pending track;
-if those distances also tie, upward. The two lower tiers only engage on ties,
-where they keep total_seek invariant under reflection of the whole instance
-(the final tier fires only when both sweeps cost the same).
+if those distances also tie, upward. The lower tiers keep LOOK's total_seek
+invariant under reflection of the whole instance. SCAN and C-SCAN run on to a
+disk end, so where the upward default fires a mirror can change their total.
 """
 
 from __future__ import annotations

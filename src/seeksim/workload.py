@@ -15,7 +15,7 @@ initial head position. Example::
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from .model import DiskGeometry, SchedulingError, _echo
 
@@ -71,6 +71,13 @@ _HEAD_DIRECTIVE = re.compile(r"\s*head(?:\s|$)")
 _TOKEN = re.compile(r"[^,\s]+")
 
 
+def _lines(text: str) -> Iterator[str]:
+    """``text.splitlines(keepends=True)``, split one run up to a "\\n" at a
+    time, so that reading the first lines splits no more of the text."""
+    for run in re.finditer(r"[^\n]*\n?", text):
+        yield from run.group().splitlines(keepends=True)
+
+
 def parse_requests(text: str) -> tuple[tuple[int, ...], int | None]:
     """Parse request file text into a queue and the optional head position.
 
@@ -80,7 +87,7 @@ def parse_requests(text: str) -> tuple[tuple[int, ...], int | None]:
     head: int | None = None
     bulk_tried = False
     end = 0
-    for lineno, raw in enumerate(text.splitlines(keepends=True), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         start, end = end, end + len(raw)
         line = raw.partition("#")[0]
         if not _TOKEN.search(line):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -11,7 +12,10 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from seeksim.cli import main
+from seeksim import report
+from seeksim.cli import _ALGO_TOKENS, main
+from seeksim.model import DiskGeometry, validate_instance
+from seeksim.report import emit, run_comparison
 from seeksim.schedulers import ORACLE_MAX_REQUESTS
 
 
@@ -351,6 +355,69 @@ def test_verify_prints_each_failed_check(capsys, monkeypatch):
     assert "failed check permutation:SSTF: 5" in checks
     assert checks == sorted(checks) and all(line.startswith("failed check ") for line in checks)
     assert lines[-1].startswith("first counterexample: {'queue': [")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_overflowing_metric_prints_nothing(capsys, fmt):
+    # Every row's average seek overflows a float, so the table fails before
+    # its first piece: no header is written ahead of the error.
+    nines = "9" * 400
+    code, out, err = run_cli(capsys, "run", "--head", "0", "--max-track", nines,
+                             "--requests", f"0,{nines}", "--format", fmt)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_reader_that_closes_early_gets_exit_141(tmp_path):
+    # A dense --path output far larger than a pipe's buffer, so the reader
+    # closes while the writes go on. Default buffering, whatever the caller's.
+    path = tmp_path / "dense.txt"
+    path.write_text("head 90\n" + "\n".join(str(i * 7 % 181) for i in range(20000)) + "\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    argv = [sys.executable, "-m", "seeksim", "run", "--input", str(path), "--path"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(1)) == 1
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+
+
+class _Pieces(io.StringIO):
+    """A stdout that keeps every piece written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return super().write(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(0, 60), max_size=40),
+    st.integers(0, 60),
+    st.sampled_from(["all", "fifo", "scan", "optimal"]),
+    st.sampled_from(["csv", "json"]),
+    st.booleans(),
+    st.integers(1, 4),
+)
+def test_streamed_pieces_join_to_emit(queue, head, algo, fmt, path, chunk):
+    argv = ["run", "--head", str(head), "--requests", ",".join(map(str, queue)),
+            "--max-track", "60", "--algo", algo, "--format", fmt, *(["--path"] if path else [])]
+    out = _Pieces()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report, "_SERIES_CHUNK", chunk)
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+    instance = validate_instance(queue, head, DiskGeometry(0, 60))
+    table = run_comparison(instance, algorithms=_ALGO_TOKENS[algo])
+    assert "".join(out.pieces) == emit(table.rows if path else table, fmt)
+    if path:
+        # No piece holds more than a chunk of points, however long the path.
+        point = "\n" if fmt == "csv" else "[\n          "
+        assert max(piece.count(point) for piece in out.pieces) <= chunk
 
 
 def test_console_entry_point_runs():

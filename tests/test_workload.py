@@ -141,6 +141,12 @@ def test_split_and_token_scan_agree_on_whitespace_and_line_ends():
     assert {line[-1] for line in lines[:-1]} <= set(spaces)
 
 
+@pytest.mark.parametrize("text", ["#".join(map(chr, range(0x110000))), "a\r\nb\r\rc\n\r", ""])
+def test_lazy_lines_split_like_splitlines(text):
+    # parse_requests reads lines one at a time, at str.splitlines' boundaries.
+    assert list(workload._lines(text)) == text.splitlines(keepends=True)
+
+
 def test_parse_rejects_fractional_track():
     with pytest.raises(ParseError):
         parse_requests("4.5")
@@ -299,5 +305,7 @@ _BULK_TEXT = "# 40 seeded uniform requests\nhead 90\n" + "\n".join(_BULK_LINES) 
 @example(",\nhead 5\n1\n")
 @example("head 5\n1 # c\n2, x\n")
 @example("1 # c\nhead 5\n")
+@example("# c\x0chead 5\x1e1, 2\r3\x854\u2029x5\x1d6\n")
+@example("# c\rhead 5\x0b\x1c1\u20282\r\nhead 6\n")
 def test_parse_matches_regex_reference(text):
     assert _outcome(parse_requests, text) == _outcome(_reference_parse_requests, text)
