@@ -211,6 +211,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+_PIECE = 1 << 16  # characters of gen's text per write
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     geometry = _build_geometry(args)
     queue = generate(args.count, geometry, args.seed)
@@ -224,7 +227,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         with open(args.output, "w", encoding="utf-8") as f:
             f.write(text)
     else:
-        sys.stdout.write(text)
+        # In bounded pieces, as run writes: unbuffered, one write of the whole
+        # text reaches a raw stream, whose partial write to a pipe that the
+        # reader closed raises nothing, so the exit code would not show it.
+        sys.stdout.writelines(text[i : i + _PIECE] for i in range(0, len(text), _PIECE))
     return 0
 
 

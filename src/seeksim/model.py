@@ -156,7 +156,7 @@ def rotational_overhead(model: TransferModel) -> float:
 
 def average_seek(schedule: Schedule) -> float:
     """Total seek divided by the number of requests."""
-    n = len(schedule.service_order)
+    n = schedule._served
     if n < 1:
         raise SchedulingError("average seek undefined for an empty schedule")
     try:
@@ -174,6 +174,30 @@ def transfer_time(avg_seek: float, model: TransferModel) -> float:
     return total
 
 
+# A leg of a schedule (see Schedule): seq[i] to seq[j] inclusive, walked up
+# when i <= j and down otherwise.
+_Leg = tuple[Sequence[Track], int, int]
+
+
+def _leg_tracks(seq: Sequence[Track], i: int, j: int) -> Sequence[Track]:
+    """The leg ``(seq, i, j)``: ``seq[i]`` to ``seq[j]``, inclusive, in walk
+    order (up when i <= j, down otherwise)."""
+    if i <= j:
+        return seq[i : j + 1]
+    return seq[i : j - 1 : -1] if j else seq[i::-1]
+
+
+def _joined(parts: list[tuple[Track, ...]]) -> tuple[Track, ...]:
+    """The concatenation of ``parts``: one part as it is, two in one copy
+    (cheaper than a pass for the few tracks of a verify trial), more in one
+    pass."""
+    if len(parts) == 1:
+        return parts[0]
+    if len(parts) == 2:
+        return parts[0] + parts[1]
+    return tuple(chain.from_iterable(parts))
+
+
 class Schedule(_Frozen):
     """Result of running one algorithm on one instance.
 
@@ -183,22 +207,75 @@ class Schedule(_Frozen):
     completing a request. Everything else is derived from them on first read
     and then stored. ``step_seeks`` has one entry per path segment, so
     ``sum(step_seeks) == total_seek`` and unserviced stops count too.
+
+    A scheduler that walks the sorted tracks builds its schedule from legs
+    instead (``_of_legs``). A leg ``(seq, i, j)`` walks the sorted tuple
+    ``seq`` from ``seq[i]`` to ``seq[j]`` inclusive, up when i <= j and down
+    otherwise. A leg over the instance's tracks services them; an idle stop
+    is a one-track leg over a tuple of its own. Then ``stops`` and ``idle``
+    are derived as well, and ``total_seek`` takes O(legs): a leg's tracks are
+    sorted, so it costs |first - previous end| + |last - first|. A
+    legs-built schedule and the one built from its stops and idle compare,
+    hash and print alike.
     """
 
     _fields = ("algorithm", "start", "stops", "idle", "service_order", "preliminary_moves",
                "total_seek")
+    _legs: tuple[_Leg, ...] | None = None  # built from stops
 
     def __init__(
         self, algorithm: str, start: Track, stops: tuple[Track, ...], idle: tuple[int, ...] = ()
     ):
         self.__dict__.update(algorithm=algorithm, start=start, stops=stops, idle=idle)
 
+    @classmethod
+    def _of_legs(
+        cls, algorithm: str, start: Track, tracks: tuple[Track, ...], legs: tuple[_Leg, ...]
+    ) -> Schedule:
+        """The schedule that walks ``legs`` from ``start``; legs over
+        ``tracks`` service requests, all others are idle stops."""
+        schedule = cls.__new__(cls)
+        schedule.__dict__.update(algorithm=algorithm, start=start, _tracks=tracks, _legs=legs)
+        return schedule
+
     @staticmethod
     def _seeks(start: Track, stops: tuple[Track, ...]) -> Iterator[int]:
         return map(abs, map(operator.sub, stops, chain((start,), stops)))
 
     @_derived
+    def stops(self) -> tuple[Track, ...]:
+        return _joined([_leg_tracks(*leg) for leg in self._legs])
+
+    @_derived
+    def idle(self) -> tuple[int, ...]:
+        idle, at = [], 0
+        for seq, i, j in self._legs:
+            if seq is not self._tracks:
+                idle.append(at)
+            at += abs(j - i) + 1
+        return tuple(idle)
+
+    @_derived
+    def _service_runs(self) -> tuple[_Leg, ...]:
+        """The service order as runs ``(seq, i, j)``, in the form of legs:
+        the legs that service requests, or the whole service order as one
+        run when the schedule is built from stops."""
+        if self._legs is None:
+            order = self.service_order
+            return ((order, 0, len(order) - 1),) if order else ()
+        return tuple([leg for leg in self._legs if leg[0] is self._tracks])
+
+    @_derived
+    def _served(self) -> int:
+        """``len(service_order)``, which legs-built is the number of tracks,
+        as the legs service each once."""
+        return len(self.service_order if self._legs is None else self._tracks)
+
+    @_derived
     def service_order(self) -> tuple[Track, ...]:
+        if self._legs is not None:
+            t = self._tracks  # filtered here: _service_runs costs a read more
+            return _joined([_leg_tracks(*leg) for leg in self._legs if leg[0] is t])
         service = self.stops
         for i in reversed(self.idle):
             service = service[:i] + service[i + 1 :]
@@ -206,11 +283,20 @@ class Schedule(_Frozen):
 
     @_derived
     def preliminary_moves(self) -> tuple[Track, ...]:
+        if self._legs is not None:
+            return tuple([seq[i] for seq, i, _ in self._legs if seq is not self._tracks])
         return tuple(self.stops[i] for i in self.idle)
 
     @_derived
     def total_seek(self) -> int:
-        return sum(self._seeks(self.start, self.stops))
+        if self._legs is None:
+            return sum(self._seeks(self.start, self.stops))
+        total, pos = 0, self.start
+        for seq, i, j in self._legs:
+            first, last = seq[i], seq[j]
+            total += abs(first - pos) + abs(last - first)
+            pos = last
+        return total
 
     @_derived
     def step_seeks(self) -> tuple[int, ...]:
@@ -218,7 +304,10 @@ class Schedule(_Frozen):
 
     def head_path(self) -> tuple[Track, ...]:
         """All head positions in order, starting at the initial position."""
-        return (self.start,) + self.stops
+        if self._legs is None or "stops" in self.__dict__:
+            return (self.start,) + self.stops
+        # Built in one pass from the legs; ``stops`` is not kept.
+        return _joined([(self.start,), *[_leg_tracks(*leg) for leg in self._legs]])
 
 
 class Instance(_Frozen):

@@ -8,6 +8,8 @@ deterministic, so identical inputs give byte-identical text.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .model import (
@@ -15,8 +17,11 @@ from .model import (
     Instance,
     Schedule,
     SchedulingError,
+    Track,
     TransferModel,
     _Frozen,
+    _Leg,
+    _leg_tracks,
     average_seek,
     transfer_time,
     validate_instance,
@@ -150,12 +155,13 @@ _PUBLISHED_COLUMNS = _COLUMNS + ("published_average_seek", "published_transfer_t
 
 
 def _table_rows(report: ComparisonReport, include_published: bool) -> Iterator[tuple]:
-    """Each row's values in column order. The averages of an empty queue are
-    undefined, so both are None and display as empty strings."""
+    """Each row's values in column order, its service order as runs (see
+    ``_order_texts``). The averages of an empty queue are undefined, so both are
+    None and display as empty strings."""
     for row in report.rows:
-        avg = average_seek(row) if row.service_order else None
+        avg = average_seek(row) if row._served else None
         transfer = None if avg is None else transfer_time(avg, report.model)
-        values = (row.algorithm, row.total_seek, avg, transfer, row.service_order,
+        values = (row.algorithm, row.total_seek, avg, transfer, row._service_runs,
                   display(avg), display(transfer))
         if include_published:
             pub_avg, pub_transfer = PUBLISHED_TABLES[report.case_id].get(row.algorithm, ("", ""))
@@ -168,6 +174,55 @@ def _table_rows(report: ComparisonReport, include_published: bool) -> Iterator[t
 # chunks of this many points, so no series piece, template or encoded copy
 # grows with the queue.
 _SERIES_CHUNK = 4096
+
+
+def _order_texts(
+    orders: list[Sequence[_Leg]], render: Callable[[tuple], str], sep: str
+) -> Iterator[str]:
+    """The text of each service order in ``orders``, given as runs (see
+    Schedule): ``render`` turns a tuple of tracks into text, and ``sep``
+    joins two such texts.
+
+    Sorted-order rows share stretches of the sorted tracks: SCAN and LOOK
+    walk the same legs, C-SCAN the first of them, ODSA's sweep covers both
+    of C-SCAN's, and SSTF mostly ends in one of them. So every run is cut
+    at each end of any run over the same sequence, and each piece, the
+    index range [a, b) walked up or [b, a) walked down, is rendered once
+    per report. Keys hold the sequences' ids, which stay unique while the
+    rows hold the sequences.
+    """
+    ends: dict[int, set[int]] = {}
+    for runs in orders:
+        for seq, i, j in runs:
+            ends.setdefault(id(seq), set()).update((min(i, j), max(i, j) + 1))
+    cuts = {key: sorted(points) for key, points in ends.items()}
+
+    def pieces(runs: Sequence[_Leg]) -> Iterator[tuple[Sequence[Track], int, int]]:
+        for seq, i, j in runs:
+            points = cuts[id(seq)]
+            low, high = bisect_left(points, min(i, j)), bisect_left(points, max(i, j) + 1)
+            points = points[low : high + 1]
+            for a, b in zip(points, points[1:]) if i <= j else zip(points[:0:-1], points[-2::-1]):
+                yield seq, a, b
+
+    # A text is dropped at its last use, so no row's text outlives the rows
+    # that need it.
+    uses = Counter((id(seq), a, b) for runs in orders for seq, a, b in pieces(runs))
+    texts: dict[tuple, str] = {}
+    for runs in orders:
+        parts = []
+        for seq, a, b in pieces(runs):
+            key = id(seq), a, b
+            text = texts.get(key)
+            if text is None:
+                tracks = _leg_tracks(seq, a, b - 1) if a < b else _leg_tracks(seq, a - 1, b)
+                text = texts[key] = render(tuple(tracks))
+            uses[key] -= 1
+            if not uses[key]:
+                del texts[key]
+            parts.append(text)
+        yield sep.join(parts)
+
 
 # The CSV emitters join cells directly: only an algorithm name can hold a
 # comma, a quote or a line break (ints, float reprs, display strings, the
@@ -192,13 +247,15 @@ def _csv_cell(text: str) -> str:
 def _comparison_csv(report: ComparisonReport, include_published: bool) -> Iterator[str]:
     rows = list(_table_rows(report, include_published))  # every metric before any text
     yield ",".join(_PUBLISHED_COLUMNS if include_published else _COLUMNS) + "\n"
-    for name, total, avg, transfer, order, *text in rows:
+    orders = _order_texts([row[4] for row in rows], lambda run: ("%s;" * len(run) % run)[:-1],
+                          ";")
+    for (name, total, avg, transfer, _, *text), order in zip(rows, orders):
         cells = [
             _csv_cell(name),
             str(total),
             "" if avg is None else repr(avg),
             "" if transfer is None else repr(transfer),
-            ("%s;" * len(order) % tuple(order))[:-1],
+            order,
             *text,
         ]
         yield ",".join(cells) + "\n"
@@ -212,14 +269,19 @@ def _json_scalars(values: Sequence) -> tuple:
     return tuple(values) if set(map(type, values)) <= {int} else tuple(map(json.dumps, values))
 
 
+def _json_items(values: Sequence, inner: str) -> str:
+    """The items of a JSON list of scalars, each but the first on a line that
+    ``inner`` (a newline and spaces) opens, with commas between."""
+    return (("%s," + inner) * (len(values) - 1) + "%s") % _json_scalars(values)
+
+
 def _json_list(values: Sequence, indent: str) -> str:
     """The text of ``json.dumps(list(values), indent=2)`` for a list of
     scalars whose line ``indent`` (a newline and spaces) opens."""
     if not values:
         return "[]"
     inner = indent + "  "
-    return ("[" + inner + ("%s," + inner) * (len(values) - 1) + "%s" + indent + "]") % (
-        _json_scalars(values))
+    return "[" + inner + _json_items(values, inner) + indent + "]"
 
 
 def _comparison_json(report: ComparisonReport, include_published: bool) -> Iterator[str]:
@@ -239,9 +301,13 @@ def _comparison_json(report: ComparisonReport, include_published: bool) -> Itera
     columns = _PUBLISHED_COLUMNS if include_published else _COLUMNS
     template = "%s\n    {\n      " + ",\n      ".join(f'"{c}": %s' for c in columns) + "\n    }"
     sep = "["
-    for name, total, avg, transfer, order, *text in rows:
-        yield template % (sep, *map(json.dumps, (name, total, avg, transfer)),
-                          _json_list(order, "\n      "), *map(json.dumps, text))
+    inner = "\n        "
+    orders = _order_texts([row[4] for row in rows], lambda run: _json_items(run, inner),
+                          "," + inner)
+    for (name, total, avg, transfer, _, *text), order in zip(rows, orders):
+        order = "[" + inner + order + "\n      ]" if order else "[]"
+        yield template % (sep, *map(json.dumps, (name, total, avg, transfer)), order,
+                          *map(json.dumps, text))
         sep = ","
     yield "\n  ]\n}\n" if rows else "[]\n}\n"
 

@@ -1,10 +1,13 @@
 """The six scheduling algorithms plus an exact optimal-order oracle.
 
 Every scheduler is a pure function mapping a validated Instance to a
-Schedule. FIFO reads the queue in arrival order; every other scheduler
-depends only on the multiset of requests and reads the instance's sorted
-``tracks``, its head and, for SCAN and C-SCAN, its geometry. Shared
-conventions:
+Schedule. FIFO reads the queue in arrival order and lists its stops; every
+other scheduler depends only on the multiset of requests, reads the
+instance's sorted ``tracks``, its head and, for SCAN and C-SCAN, its
+geometry, and records its walk as legs (see Schedule): index ranges of the
+sorted tracks, walked up or down, with each idle stop a one-track leg of its
+own. None copies a track: the schedule derives its stops, service order and
+total from the legs when they are first read. Shared conventions:
 
 - Requests already under the head are serviced first at zero cost and are
   counted on neither side when a sweep direction is chosen.
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from .model import Instance, Schedule, SchedulingError, Track
+from .model import Instance, Schedule, SchedulingError, Track, _Leg
 
 # Larger queues are refused: the oracle's O(n^2) time would grow past a few
 # seconds.
@@ -42,10 +45,10 @@ _State = tuple[int, int, Track]
 
 
 def _walk(
-    t: tuple[Track, ...], state: _State, order: list[Track] | None
+    t: tuple[Track, ...], state: _State, legs: list[_Leg] | None
 ) -> tuple[int, _State | None]:
-    """Take SSTF's forced steps from ``state``, appending each serviced track
-    to ``order`` when one is given.
+    """Take SSTF's forced steps from ``state``, appending each run it
+    services to ``legs`` when a list is given.
 
     Each jump serves a run with one bisect: if d_lo < d_hi, every pending
     track above pos - d_hi stays strictly nearer than t[hi], so t[k..lo] go
@@ -65,23 +68,24 @@ def _walk(
         d_lo, d_hi = pos - t[lo], t[hi] - pos
         if d_lo < d_hi:
             k = bisect_right(t, pos - d_hi)
-            if order is not None:
-                order += t[k : lo + 1][::-1]
+            if legs is not None:
+                legs.append((t, lo, k))
             cost, pos, lo = cost + pos - t[k], t[k], k - 1
         elif d_hi < d_lo:
             k = bisect_left(t, pos + d_lo) - 1
-            if order is not None:
-                order += t[hi : k + 1]
+            if legs is not None:
+                legs.append((t, hi, k))
             cost, pos, hi = cost + t[k] - pos, t[k], k + 1
         else:
             return cost, (lo, hi, pos)
-    if order is not None:
-        order.extend(reversed(t[: lo + 1]))
-        order.extend(t[hi:])
     if lo >= 0:
         cost += pos - t[0]
+        if legs is not None:
+            legs.append((t, lo, 0))
     elif hi < n:
         cost += t[-1] - pos
+        if legs is not None:
+            legs.append((t, hi, n - 1))
     return cost, None
 
 
@@ -137,24 +141,28 @@ def schedule_sstf(instance: Instance) -> Schedule:
     """
     t, head = instance.tracks, instance.head
     hi = bisect_left(t, head)
-    order: list[Track] = []
+    legs: list[_Leg] = []
     memo: dict[_State, int] = {}
     state = (hi - 1, hi, head)
     while True:
-        _, tie = _walk(t, state, order)
+        _, tie = _walk(t, state, legs)
         if tie is None:
-            return Schedule("SSTF", head, tuple(order))
+            return Schedule._of_legs("SSTF", head, t, tuple(legs))
         below, above = _tie_branches(t, tie)
-        state = below if _finish_cost(t, below, memo) <= _finish_cost(t, above, memo) else above
-        order.append(state[2])
+        if _finish_cost(t, below, memo) <= _finish_cost(t, above, memo):
+            state, k = below, tie[0]
+        else:
+            state, k = above, tie[1]
+        legs.append((t, k, k))
 
 
-def _sweeps_up(h: Track, below: tuple[Track, ...], above: tuple[Track, ...]) -> bool:
-    """Whether the sweep goes up first, given the sorted pending tracks on
-    each side. See the module docstring."""
-    if len(above) != len(below):
-        return len(above) > len(below)
-    return above[-1] - h <= h - below[0]
+def _sweeps_up(t: tuple[Track, ...], head: Track, lo: int, hi: int) -> bool:
+    """Whether the sweep goes up first, given the pending requests t[:lo]
+    below the head and t[hi:] above it. See the module docstring."""
+    below, above = lo, len(t) - hi
+    if above != below:
+        return above > below
+    return t[-1] - head <= head - t[0]
 
 
 def _sweep(name: str, instance: Instance, end: str) -> Schedule:
@@ -166,25 +174,28 @@ def _sweep(name: str, instance: Instance, end: str) -> Schedule:
     ("wrap"), or at the extreme pending request ("request"). The second leg
     runs back over the other side ("physical", "request") or on in the same
     direction after the jump ("wrap"). End points without a request there
-    are unserviced stops.
+    are idle stops, each a one-track leg of its own.
     """
-    tracks, head, geometry = instance.tracks, instance.head, instance.geometry
-    lo, hi = bisect_left(tracks, head), bisect_right(tracks, head)
-    below, above = tracks[:lo], tracks[hi:]
-    if not below and not above:
-        return Schedule(name, head, tracks)
-    if _sweeps_up(head, below, above):
-        first, back, near, far = tracks[lo:], below[::-1], geometry.max_track, geometry.min_track
+    t, head, geometry = instance.tracks, instance.head, instance.geometry
+    n = len(t)
+    lo, hi = bisect_left(t, head), bisect_right(t, head)
+    if lo == 0 and hi == n:
+        return Schedule._of_legs(name, head, t, ((t, 0, n - 1),) if n else ())
+    lowest, highest = geometry.min_track, geometry.max_track
+    if _sweeps_up(t, head, lo, hi):
+        first, back, near, far = (t, lo, n - 1), (t, lo - 1, 0), highest, lowest
     else:
-        first, back, near, far = tracks[:hi][::-1], above, geometry.min_track, geometry.max_track
-    second = back[::-1] if end == "wrap" else back
-    moves = []
-    if end != "request" and first[-1] != near:
-        moves.append(near)
-    if end == "wrap" and second and second[0] != far:
-        moves.append(far)
-    idle = tuple(range(len(first), len(first) + len(moves)))
-    return Schedule(name, head, first + tuple(moves) + second, idle)
+        first, back, near, far = (t, hi - 1, 0), (t, hi, n - 1), lowest, highest
+    legs = [first]
+    if end != "request" and t[first[2]] != near:
+        legs.append(((near,), 0, 0))
+    if 0 <= back[1] < n:  # requests wait behind the head
+        if end == "wrap":
+            back = (t, back[2], back[1])
+            if t[back[1]] != far:
+                legs.append(((far,), 0, 0))
+        legs.append(back)
+    return Schedule._of_legs(name, head, t, tuple(legs))
 
 
 def schedule_scan(instance: Instance) -> Schedule:
@@ -217,10 +228,11 @@ def schedule_odsa(instance: Instance) -> Schedule:
     total_seek = min(|head-lowest|, |head-highest|) + (highest - lowest),
     which is the minimum possible for a static queue.
     """
-    tracks, head = instance.tracks, instance.head
-    if tracks and abs(head - tracks[0]) > abs(head - tracks[-1]):
-        tracks = tracks[::-1]
-    return Schedule("ODSA", head, tracks)
+    t, head = instance.tracks, instance.head
+    if not t:
+        return Schedule._of_legs("ODSA", head, t, ())
+    leg = (t, len(t) - 1, 0) if abs(head - t[0]) > abs(head - t[-1]) else (t, 0, len(t) - 1)
+    return Schedule._of_legs("ODSA", head, t, (leg,))
 
 
 def brute_force_optimal(instance: Instance) -> Schedule:
@@ -259,7 +271,7 @@ def brute_force_optimal(instance: Instance) -> Schedule:
         raise SchedulingError(f"{n} requests exceed the oracle bound of {ORACLE_MAX_REQUESTS}")
     t, head = instance.tracks, instance.head
     if not n:
-        return Schedule("OPTIMAL", head, ())
+        return Schedule._of_legs("OPTIMAL", head, t, ())
     # Cost-to-go of the blocks of the current width, indexed by i, with the
     # head at the low end and at the high end; the full block costs nothing.
     at_low = at_high = [0]
@@ -277,4 +289,5 @@ def brute_force_optimal(instance: Instance) -> Schedule:
         new_high.append(t[n - 1] + down[-1])
         at_low, at_high = new_low, new_high
     first = min(range(n), key=lambda k: abs(head - t[k]) + at_low[k])
-    return Schedule("OPTIMAL", head, t[first:] + t[:first][::-1])
+    legs = ((t, first, n - 1), (t, first - 1, 0)) if first else ((t, 0, n - 1),)
+    return Schedule._of_legs("OPTIMAL", head, t, legs)

@@ -382,6 +382,18 @@ def test_reader_that_closes_early_gets_exit_141(tmp_path):
         assert proc.stderr.read() == b""
 
 
+def test_gen_reader_that_closes_early_gets_exit_141_unbuffered():
+    # Unbuffered, each write reaches the pipe as it is made; a text written
+    # in one piece would be cut short without an error and exit 0.
+    env = {**os.environ, "PYTHONUNBUFFERED": "1"}
+    argv = [sys.executable, "-m", "seeksim", "gen", "--count", "300000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(1)) == 1
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+
+
 class _Pieces(io.StringIO):
     """A stdout that keeps every piece written to it."""
 
@@ -392,6 +404,18 @@ class _Pieces(io.StringIO):
     def write(self, text):
         self.pieces.append(text)
         return super().write(text)
+
+
+def test_gen_writes_its_text_in_bounded_pieces(capsys):
+    out = _Pieces()
+    with contextlib.redirect_stdout(out):
+        assert main(["gen", "--count", "30000", "--seed", "4", "--head", "7"]) == 0
+    assert len(out.pieces) > 1 and max(map(len, out.pieces)) <= 1 << 16
+    with tempfile.TemporaryDirectory() as tmp:
+        file = os.path.join(tmp, "gen.txt")
+        assert main(["gen", "--count", "30000", "--seed", "4", "--head", "7", "-o", file]) == 0
+        with open(file) as f:
+            assert "".join(out.pieces) == f.read()
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,13 +4,13 @@ The heavyweight randomized campaign lives in the acceptance suite; these use
 hypothesis to hunt adversarial shapes (ties, duplicates, head on a request).
 """
 
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seeksim.model import DiskGeometry, Schedule, validate_instance
-from seeksim.report import ALGORITHM_ORDER, ORACLE_NAME, run_schedule
+from seeksim.model import DiskGeometry, Schedule, TransferModel, average_seek, validate_instance
+from seeksim.report import ALGORITHM_ORDER, ORACLE_NAME, ComparisonReport, emit, run_schedule
 from seeksim.schedulers import (
     brute_force_optimal,
     schedule_cscan,
@@ -211,3 +211,55 @@ def test_every_stop_lies_inside_the_geometry(inst):
         schedule = run_schedule(name, inst)
         assert all(inst.geometry.contains(t) for t in schedule.stops), name
         assert set(schedule.preliminary_moves) <= ends, name
+
+
+# The small scope, exhaustively: every multiset of up to SCOPE_K requests on
+# the tracks of SCOPE, with the head on each of its tracks (5544 instances).
+SCOPE_K = 5
+SCOPE = DiskGeometry(0, 6)
+SCOPE_TRACKS = range(SCOPE.min_track, SCOPE.max_track + 1)
+SCOPE_ENDS = {SCOPE.min_track, SCOPE.max_track}
+ORACLE_SEARCH_K = 4  # the oracle meets a search over every service order
+
+
+def test_small_scope_exhaustively():
+    names = (*ALGORITHM_ORDER, ORACLE_NAME)
+    for n in range(SCOPE_K + 1):
+        for queue in combinations_with_replacement(SCOPE_TRACKS, n):
+            for head in SCOPE_TRACKS:
+                inst = validate_instance(queue, head, SCOPE)
+                case = (queue, head)
+                rows, twins = [], []
+                for name in names:
+                    # Each derived field is read on a fresh schedule, so none
+                    # is computed from another that was read before it.
+                    path = run_schedule(name, inst).head_path()
+                    if n:
+                        avg = average_seek(run_schedule(name, inst))
+                    s = run_schedule(name, inst)
+                    twin = Schedule(s.algorithm, s.start, s.stops, s.idle)
+                    assert s == twin and hash(s) == hash(twin), (name, case)
+                    assert path == twin.head_path(), (name, case)
+                    assert sum(s.step_seeks) == s.total_seek, (name, case)
+                    assert tuple(sorted(s.service_order)) == queue, (name, case)
+                    assert all(SCOPE.contains(t) for t in s.stops), (name, case)
+                    assert set(s.preliminary_moves) <= SCOPE_ENDS, (name, case)
+                    if n:
+                        assert avg == twin.total_seek / n, (name, case)
+                    rows.append(run_schedule(name, inst))
+                    twins.append(twin)
+                for format in ("csv", "json"):
+                    assert emit(ComparisonReport(inst, TransferModel(), tuple(rows)), format) == (
+                        emit(ComparisonReport(inst, TransferModel(), tuple(twins)), format)
+                    ), case
+                totals = {row.algorithm: row.total_seek for row in rows}
+                if n <= ORACLE_SEARCH_K:
+                    want = _brute_force_reference(queue, head)
+                    assert rows[-1].service_order == want.service_order, case
+                    assert totals[ORACLE_NAME] == want.total_seek, case
+                if n:
+                    lo, hi = queue[0], queue[-1]
+                    odsa = totals["ODSA"]
+                    assert odsa == min(abs(head - lo), abs(head - hi)) + (hi - lo), case
+                    assert odsa == totals[ORACLE_NAME], case
+                    assert all(odsa <= totals[name] for name in ALGORITHM_ORDER), case

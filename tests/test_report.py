@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -568,3 +569,28 @@ def test_csv_quotes_any_algorithm_name_like_csv_writer(names, include_published)
     )
     series = [Schedule(name, 45, (10, 25)[:i]) for i, name in enumerate(names)]
     assert emit(series) == _reference_series_csv(series)
+
+
+class _Text(str):
+    """A rendered text that a weak reference can follow."""
+
+
+def test_order_texts_render_each_piece_once_and_keep_none_past_its_last_use():
+    t = tuple(range(100, 110))
+    # Runs cut at 0, 4 and 10: up [0, 4), up [4, 10) and down [4, 0).
+    orders = [[(t, 0, 9)], [(t, 4, 9), (t, 3, 0)], [(t, 3, 0)]]
+    rendered = []
+
+    def render(run):
+        text = _Text(",".join(map(str, run)))
+        rendered.append((run, weakref.ref(text)))
+        return text
+
+    texts = report_module._order_texts(orders, render, ";")
+    assert next(texts) == "100,101,102,103;104,105,106,107,108,109"
+    assert next(texts) == "104,105,106,107,108,109;103,102,101,100"
+    assert [run for run, _ in rendered] == [t[:4], t[4:], t[3::-1]]
+    assert next(texts) == "103,102,101,100"
+    # Only the last row's piece is still held, by the row being built.
+    assert [ref() is None for _, ref in rendered] == [True, True, False]
+    assert next(texts, None) is None and len(rendered) == 3

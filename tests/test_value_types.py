@@ -22,10 +22,19 @@ from seeksim.model import (
     Schedule,
     SchedulingError,
     TransferModel,
+    average_seek,
     validate_instance,
 )
 from seeksim.report import CampaignSummary, ComparisonReport, emit, run_comparison
-from seeksim.schedulers import schedule_scan
+from seeksim.schedulers import (
+    brute_force_optimal,
+    schedule_cscan,
+    schedule_fifo,
+    schedule_look,
+    schedule_odsa,
+    schedule_scan,
+    schedule_sstf,
+)
 from seeksim.workload import generate
 
 CASE_INSTANCE = Instance((25, 10, 151), 45, DiskGeometry())
@@ -244,6 +253,85 @@ def test_derived_fields_match_the_eager_formulas(drawn):
     assert schedule == Schedule("SCAN", start, stops, idle)
 
 
+SCHEDULERS = (schedule_fifo, schedule_sstf, schedule_scan, schedule_cscan, schedule_look,
+              schedule_odsa, brute_force_optimal)
+# Duplicates, a request under the head, idle stops at both disk ends for C-SCAN.
+SCHEDULED = validate_instance((25, 10, 151, 170, 62, 46, 74, 111, 45, 46), 45)
+
+
+def _twin(schedule):
+    """The schedule built from ``schedule``'s stops and idle indices."""
+    return Schedule(schedule.algorithm, schedule.start, schedule.stops, schedule.idle)
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS, ids=lambda f: f.__name__)
+def test_scheduler_output_is_its_stops_built_twin(scheduler):
+    twin = _twin(scheduler(SCHEDULED))
+    for schedule in (scheduler(SCHEDULED), _twin(scheduler(SCHEDULED))):
+        assert schedule == twin and twin == schedule and not schedule != twin
+        assert hash(schedule) == hash(twin) and len({schedule, twin}) == 1
+        assert repr(schedule) == repr(twin)
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS, ids=lambda f: f.__name__)
+def test_scheduler_output_survives_pickle_and_copy(scheduler):
+    twin = _twin(scheduler(SCHEDULED))
+    for read in (False, True):
+        # Unread, a schedule carries only what it was built from; read, its
+        # derived fields as well.
+        made = [scheduler(SCHEDULED) for _ in range(3)]
+        if read:
+            for schedule in made:
+                repr(schedule)
+        a, b, c = made
+        for clone in (pickle.loads(pickle.dumps(a)), copy.copy(b), copy.deepcopy(c)):
+            assert clone == twin and hash(clone) == hash(twin) and repr(clone) == repr(twin)
+            assert clone.step_seeks == twin.step_seeks
+            assert clone.head_path() == twin.head_path()
+
+
+@st.composite
+def _scheduled(draw):
+    """(scheduler, instance, the fields derived from legs in a drawn read
+    order) on any geometry, the head inside it."""
+    low = draw(st.integers(-50, 50))
+    geometry = DiskGeometry(low, draw(st.integers(low + 1, low + 60)))
+    inside = st.integers(geometry.min_track, geometry.max_track)
+    instance = validate_instance(draw(st.lists(inside, max_size=10)), draw(inside), geometry)
+    order = draw(st.permutations(("stops", "idle", *DERIVED, "head_path")))
+    return draw(st.sampled_from(SCHEDULERS[1:])), instance, order
+
+
+@given(_scheduled())
+@example((schedule_cscan, validate_instance((25, 10, 151), 45), ("head_path",) + DERIVED))
+@example((schedule_scan, validate_instance((), 45), ("total_seek", "stops")))
+def test_legs_built_fields_match_the_eager_formulas(drawn):
+    scheduler, instance, order = drawn
+    stops, idle = scheduler(instance).stops, scheduler(instance).idle
+    path = (instance.head, *stops)
+    expected = {
+        "stops": stops,
+        "idle": idle,
+        "service_order": tuple(t for i, t in enumerate(stops) if i not in idle),
+        "preliminary_moves": tuple(stops[i] for i in idle),
+        "total_seek": sum(abs(b - a) for a, b in zip(path, path[1:])),
+        "step_seeks": tuple(abs(b - a) for a, b in zip(path, path[1:])),
+        "head_path": path,
+    }
+    schedule = scheduler(instance)
+    assert not expected.keys() & schedule.__dict__.keys()
+    for name in order:
+        if name == "head_path":
+            assert schedule.head_path() == path
+            continue
+        value = getattr(schedule, name)
+        assert value == expected[name]
+        assert schedule.__dict__[name] is value and getattr(schedule, name) is value
+    if instance.queue:
+        assert average_seek(scheduler(instance)) == expected["total_seek"] / len(instance.queue)
+    assert schedule == Schedule(schedule.algorithm, instance.head, stops, idle)
+
+
 def test_head_paths_leave_the_derived_fields_unread():
     report = run_comparison(validate_instance((25, 10, 151, 170, 62), 45))
     for format in ("csv", "json"):
@@ -251,6 +339,8 @@ def test_head_paths_leave_the_derived_fields_unread():
     assert len(report.rows) == 6
     for row in report.rows:
         assert not {"total_seek", "service_order", "preliminary_moves"} & row.__dict__.keys()
+        # A legs-built path is made from the legs, and its stops are not kept.
+        assert row.algorithm == "FIFO" or not {"stops", "idle"} & row.__dict__.keys()
 
 
 def test_tracks_are_sorted_once(monkeypatch):
