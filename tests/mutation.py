@@ -15,13 +15,16 @@ Each mutant changes one site of the module's syntax tree:
 The repository's ``src/`` and ``tests/``, and the frozen
 ``perfbench/baseline/`` that the differential test reads, are copied to a
 temporary directory once; each mutant is written over the module there,
-and the test files run with ``pytest -x`` under a timeout. A failing run
-(a failed test, a test file that no longer imports, or a pytest internal
-error) or a timeout kills the mutant; a passing run lets it survive. A
-timing test that flakes under load counts as a kill too, so a high rate is
-an upper bound. One line per mutant goes to stdout, then the kill rate. The
-file has no ``test_`` prefix, so pytest does not collect it, and it needs
-only the stdlib and the test dependencies.
+and the test files run with ``pytest -x`` under a timeout and an
+address-space limit (``_MEMORY_LIMIT``), set with ``setrlimit`` in that run's
+process only, so a mutant that loops while it allocates fails fast. A
+failing run (a failed test, a test file that no longer imports, a pytest
+internal error, or a run that dies on a signal, which the line names) or a
+timeout kills the mutant; a passing run lets it survive. A timing test that
+flakes under load counts as a kill too, so a high rate is an upper bound.
+One line per mutant goes to stdout, then the kill rate. The file has no
+``test_`` prefix, so pytest does not collect it, and it needs only the
+stdlib and the test dependencies.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ import argparse
 import ast
 import itertools
 import os
+import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -45,6 +50,9 @@ _FLIPS = {
     ast.Is: ast.IsNot, ast.IsNot: ast.Is,
 }
 _ARITH = {ast.Add: ast.Sub, ast.Sub: ast.Add}
+# Address space of one mutant run: the unmutated suite needs far less, and a
+# mutant that appends in a loop hits it within seconds.
+_MEMORY_LIMIT = 2 << 30
 _NAMES = {"bisect_left": "bisect_right", "bisect_right": "bisect_left", "min": "max", "max": "min"}
 
 
@@ -80,7 +88,8 @@ def mutants(source: str) -> Iterator[tuple[int, str, str]]:
         yield line, what, ast.unparse(tree)
 
 
-def _outcome(copy: Path, tests: list[str], timeout: float) -> str:
+def _outcome(copy: Path, tests: list[str], timeout: float) -> tuple[str, str]:
+    """The run's outcome, and what ended it when a signal did."""
     # No bytecode cache: two mutants of one size written within a second
     # would otherwise share a stale .pyc.
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -89,14 +98,18 @@ def _outcome(copy: Path, tests: list[str], timeout: float) -> str:
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
             cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             timeout=timeout,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (_MEMORY_LIMIT,) * 2),
         )
     except subprocess.TimeoutExpired:
-        return "timeout"
+        return "timeout", ""
     # pytest exits 1 when a test fails, 2 when a test file fails to import and
     # 3 on an internal error, such as a mutant that runs main() on import. The
-    # unmutated run must pass first, so any of these comes from the mutant.
+    # unmutated run must pass first, so any of these comes from the mutant, as
+    # does a signal: an abort when the address-space limit is hit in C code.
+    if proc.returncode < 0:
+        return "killed", signal.Signals(-proc.returncode).name
     outcomes = {0: "survived", 1: "killed", 2: "killed", 3: "killed"}
-    return outcomes.get(proc.returncode, f"error {proc.returncode}")
+    return outcomes.get(proc.returncode, f"error {proc.returncode}"), ""
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -112,16 +125,17 @@ def main(argv: list[str] | None = None) -> int:
         for part in ("src", "tests", "perfbench/baseline"):
             shutil.copytree(ROOT / part, copy / part, ignore=ignore)
         target = copy / args.module
-        baseline = _outcome(copy, args.tests, args.timeout)
+        baseline, ended_by = _outcome(copy, args.tests, args.timeout)
         if baseline != "survived":
-            print(f"the unmutated tests do not pass ({baseline})", file=sys.stderr)
+            detail = f"{baseline} {ended_by}".rstrip()
+            print(f"the unmutated tests do not pass ({detail})", file=sys.stderr)
             return 2
         counts: dict[str, int] = {}
         for line, what, text in mutants(source):
             target.write_text(text)
-            outcome = _outcome(copy, args.tests, args.timeout)
+            outcome, ended_by = _outcome(copy, args.tests, args.timeout)
             counts[outcome] = counts.get(outcome, 0) + 1
-            print(f"{outcome:8} {args.module}:{line} {what}", flush=True)
+            print(f"{outcome:8} {args.module}:{line} {what} {ended_by}".rstrip(), flush=True)
         total = sum(counts.values())
         dead = counts.get("killed", 0) + counts.get("timeout", 0)
         print(f"{dead} of {total} mutants killed ({100 * dead / max(total, 1):.0f} %): "

@@ -420,7 +420,13 @@ def test_gen_writes_its_text_in_bounded_pieces(capsys):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.lists(st.integers(0, 60), max_size=40),
+    st.one_of(
+        st.lists(st.integers(0, 60), max_size=40),
+        # Up to 300 requests on at most [0, 5]: head paths written run by run.
+        st.integers(0, 5).flatmap(
+            lambda top: st.lists(st.integers(0, top), min_size=32 * (top + 1), max_size=300)
+        ),
+    ),
     st.integers(0, 60),
     st.sampled_from(["all", "fifo", "scan", "optimal"]),
     st.sampled_from(["csv", "json"]),

@@ -9,6 +9,7 @@ from itertools import combinations_with_replacement, permutations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from seeksim import report
 from seeksim.model import DiskGeometry, Schedule, TransferModel, average_seek, validate_instance
 from seeksim.report import ALGORITHM_ORDER, ORACLE_NAME, ComparisonReport, emit, run_schedule
 from seeksim.schedulers import (
@@ -220,9 +221,18 @@ SCOPE = DiskGeometry(0, 6)
 SCOPE_TRACKS = range(SCOPE.min_track, SCOPE.max_track + 1)
 SCOPE_ENDS = {SCOPE.min_track, SCOPE.max_track}
 ORACLE_SEARCH_K = 4  # the oracle meets a search over every service order
+# Translated instances leave the small ints that CPython shares.
+SCOPE_SHIFT = 1000
+SHIFTED_SCOPE = DiskGeometry(SCOPE.min_track + SCOPE_SHIFT, SCOPE.max_track + SCOPE_SHIFT)
+# The algorithms whose total a mirror image keeps; SCAN and C-SCAN run on to
+# a disk end, so where the upward default fires their total may change.
+MIRROR_FREE = ("FIFO", "SSTF", "LOOK", "ODSA", ORACLE_NAME)
 
 
-def test_small_scope_exhaustively():
+def test_small_scope_exhaustively(monkeypatch):
+    # Every legs-built head path goes run by run, however sparse; the
+    # stops-built twins fill templates.
+    monkeypatch.setattr(report, "_DENSE_PER_TRACK", 0)
     names = (*ALGORITHM_ORDER, ORACLE_NAME)
     for n in range(SCOPE_K + 1):
         for queue in combinations_with_replacement(SCOPE_TRACKS, n):
@@ -252,7 +262,19 @@ def test_small_scope_exhaustively():
                     assert emit(ComparisonReport(inst, TransferModel(), tuple(rows)), format) == (
                         emit(ComparisonReport(inst, TransferModel(), tuple(twins)), format)
                     ), case
+                    # The tables read no stops, so the rows' head paths
+                    # still come from their legs, run by run.
+                    assert emit(tuple(rows), format) == emit(tuple(twins), format), case
                 totals = {row.algorithm: row.total_seek for row in rows}
+                shifted = validate_instance([t + SCOPE_SHIFT for t in queue], head + SCOPE_SHIFT,
+                                            SHIFTED_SCOPE)
+                mirrored = validate_instance([SCOPE.max_track - t for t in queue],
+                                             SCOPE.max_track - head, SCOPE)
+                for name, twin in zip(names, twins):
+                    moved = run_schedule(name, shifted).head_path()
+                    assert moved == tuple(t + SCOPE_SHIFT for t in twin.head_path()), (name, case)
+                for name in MIRROR_FREE:
+                    assert run_schedule(name, mirrored).total_seek == totals[name], (name, case)
                 if n <= ORACLE_SEARCH_K:
                     want = _brute_force_reference(queue, head)
                     assert rows[-1].service_order == want.service_order, case

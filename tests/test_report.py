@@ -524,8 +524,27 @@ _named_series = st.lists(
 )
 
 
+# Up to 300 requests on at most [0, 5]: legs-built paths, most of them with at
+# least 32 requests per track of their span, which the series emitter writes
+# run by run.
+_dense_series = st.integers(0, 5).flatmap(
+    lambda top: st.tuples(st.lists(st.integers(0, top), min_size=32 * top, max_size=300),
+                          st.integers(0, 5))
+).map(
+    lambda qh: head_path_series(validate_instance(qh[0], qh[1], DiskGeometry(0, 5)),
+                                EVERY_ALGORITHM)
+)
+# Legs-built paths over bool tracks, run by run: csv.writer prints True,
+# json.dumps true, and the idle stops at the disk ends stay ints.
+_bool_series = head_path_series(
+    validate_instance((True,) * 40 + (False,) * 30, True, DiskGeometry(0, 5)), EVERY_ALGORITHM
+)
+
+
 @settings(max_examples=150)
-@given(st.one_of(_instances.map(lambda inst: head_path_series(inst, EVERY_ALGORITHM)), _named_series))
+@given(st.one_of(_instances.map(lambda inst: head_path_series(inst, EVERY_ALGORITHM)),
+                 _named_series, _dense_series))
+@example(_bool_series)
 @example([])
 @example([Schedule("ODSA", 5, ())])
 @example([Schedule("a%b", 2**70, (0,)), Schedule('"\\\u00e9%s', 7, ())])
@@ -536,20 +555,69 @@ def test_series_json_matches_json_dumps(series):
 
 
 @given(
-    st.lists(
-        st.builds(
-            Schedule,
-            st.text(alphabet="ab%s-", min_size=1, max_size=6),
-            st.integers(0, 2**71),
-            st.lists(st.integers(0, 2**71), max_size=3).map(tuple),
+    st.one_of(
+        st.lists(
+            st.builds(
+                Schedule,
+                st.text(alphabet="ab%s-", min_size=1, max_size=6),
+                st.integers(0, 2**71),
+                st.lists(st.integers(0, 2**71), max_size=3).map(tuple),
+            ),
+            max_size=4,
         ),
-        max_size=4,
+        _dense_series,
     )
 )
+@example(_bool_series)
 @example([Schedule("ODSA", 3, ()), Schedule("FIFO", 3, (4,))])
 @example([Schedule("a%b", 4, (5,)), Schedule("%s%%", 6, ())])
 def test_series_csv_matches_csv_writer_on_any_path(series):
     assert emit(series) == _reference_series_csv(series)
+
+
+def test_dense_paths_written_run_by_run_match_their_stops_built_twins():
+    # 12000 requests on [0, 180]: every legs-built path crosses steps 1000
+    # and 10000 and is written run by run; its twin, built from its stops,
+    # fills one template per piece.
+    queue = [i * 7919 % 181 for i in range(12000)]
+    rows = head_path_series(validate_instance(queue, 90), ALGORITHM_ORDER)
+    twins = [Schedule(s.algorithm, s.start, s.stops, s.idle) for s in rows]
+    runs, runs_taken = report_module._runs, []
+    for chunk in (7, report_module._SERIES_CHUNK):
+        for fmt, point in (("csv", "\n"), ("json", "[\n          ")):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(report_module, "_SERIES_CHUNK", chunk)
+                mp.setattr(report_module, "_runs",
+                           lambda s: runs_taken.append(s.algorithm) or runs(s))
+                for row, twin in zip(rows, twins):
+                    pieces = list(report_module.emit_pieces([row], fmt))
+                    assert "".join(pieces) == emit([twin], fmt), (row.algorithm, chunk, fmt)
+                    assert max(piece.count(point) for piece in pieces) <= chunk
+            assert runs_taken == list(ALGORITHM_ORDER[1:]), (chunk, fmt)
+            runs_taken.clear()
+    assert min(len(row.head_path()) for row in rows) > 10001
+
+
+def test_runs_are_the_longest_runs_of_equal_tracks_in_the_head_path():
+    # SCAN sweeps up 7, 7, 7 to the idle end 20, then down 5, 5, 3.
+    inst = validate_instance((5, 5, 7, 7, 7, 3), 6, DiskGeometry(0, 20))
+    scan = run_schedule("SCAN", inst)
+    assert list(report_module._runs(scan)) == [(6, 1), (7, 3), (20, 1), (5, 2), (3, 1)]
+
+
+@pytest.mark.parametrize("middle, runs_side", [(93, False), (94, True)])
+def test_paths_go_run_by_run_from_32_requests_per_track_of_the_span(middle, runs_side):
+    # Tracks 10, 11 (middle times) and 12: a span of 3 tracks, so the runs
+    # side starts at 96 requests.
+    inst = validate_instance((10, *(11,) * middle, 12), 11)
+    taken = []
+    runs = report_module._runs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report_module, "_runs", lambda s: taken.append(s) or runs(s))
+        assert emit([run_schedule("ODSA", inst)]) == _reference_series_csv(
+            [run_schedule("ODSA", inst)]
+        )
+    assert bool(taken) == runs_side
 
 
 # Any algorithm name, with the characters csv.writer quotes drawn often.
