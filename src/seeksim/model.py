@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from itertools import chain
 
@@ -301,6 +302,33 @@ class Schedule(_Frozen):
     @_derived
     def step_seeks(self) -> tuple[int, ...]:
         return tuple(self._seeks(self.start, self.stops))
+
+    def _runs(self, per_track: int) -> Iterator[tuple[Track, int]] | None:
+        """The head path as (track, count) runs of equal tracks, one bisect
+        per run, when the schedule is built from legs over exact ints that
+        hold at least ``per_track`` requests per track of their span; None
+        otherwise. Equal tracks of other types (1, True, 1.0) print apart,
+        so only exact ints are grouped."""
+        t = () if self._legs is None else self._tracks
+        if not t or len(t) < per_track * (t[-1] - t[0] + 1):
+            return None
+        if operator.countOf(map(type, t), int) < len(t):
+            return None
+        return self._walk_runs()
+
+    def _walk_runs(self) -> Iterator[tuple[Track, int]]:
+        yield self.start, 1
+        for seq, i, j in self._legs:
+            if i <= j:
+                while i <= j:
+                    k = bisect_right(seq, seq[i], i, j + 1)
+                    yield seq[i], k - i
+                    i = k
+            else:
+                while i >= j:
+                    k = bisect_left(seq, seq[i], j, i)
+                    yield seq[i], i - k + 1
+                    i = k - 1
 
     def head_path(self) -> tuple[Track, ...]:
         """All head positions in order, starting at the initial position."""

@@ -8,7 +8,7 @@ deterministic, so identical inputs give byte-identical text.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
@@ -318,10 +318,11 @@ _STEP_TEXTS: tuple[list[str], list[str]] | None = None
 
 # A legs-built head path goes run by run when its sorted tracks hold at least
 # this many requests per track of their span. A run costs about as much as 30
-# points of a template, so below this the runs are too short to pay (one CSV
-# path of 10^5 requests, CPython 3.11.7 on 2 shared vCPUs: at 4 per track the
-# runs took 75 ms against the template's 13, at 32 both about 14, at 550 1.6
-# against 8.3).
+# points of a CSV template, so below this the runs are too short to pay. One
+# ODSA path of 10^5 requests, CPython 3.11.7 on 2 shared vCPUs, template
+# against runs: CSV at 4 per track 9.9 against 42 ms, at 32 8.7 against 8.7,
+# at 550 8.8 against 3.4; JSON, whose template also pays _json_scalars, breaks
+# even lower, between 20 and 24 per track, and reads 16.8 against 12.3 at 32.
 _DENSE_PER_TRACK = 32
 
 
@@ -345,40 +346,24 @@ def _add_lines(parts: list[str], lo: int, hi: int, a: str, mid: str, end: str) -
         lo = stop
 
 
-def _runs(s: Schedule) -> Iterator[tuple[Track, int]]:
-    """A legs-built schedule's head path as (track, count) runs of equal
-    tracks, one bisect per run."""
-    yield s.start, 1
-    for seq, i, j in s._legs:
-        if i <= j:
-            while i <= j:
-                k = bisect_right(seq, seq[i], i, j + 1)
-                yield seq[i], k - i
-                i = k
-        else:
-            while i >= j:
-                k = bisect_left(seq, seq[i], j, i)
-                yield seq[i], i - k + 1
-                i = k - 1
-
-
 def _path_pieces(
     s: Schedule, a: str, line: str, scalars: Callable[[Sequence], tuple]
 ) -> Iterator[str]:
     """``s``'s head path in pieces of at most _SERIES_CHUNK points, each
     point as ``a`` + its step + ``line % scalars((track,))``.
 
-    A legs-built path whose tracks hold at least _DENSE_PER_TRACK requests
-    per track of their span (10^5 on [0, 180] hold about 550; sparse queues
-    hold far fewer) is written run by run: the lines of one run of equal
-    tracks within one block of steps and one piece are one join. Any other
-    path fills one template per piece with one ``%`` call."""
+    A legs-built path whose tracks are exact ints and hold at least
+    _DENSE_PER_TRACK requests per track of their span (10^5 on [0, 180] hold
+    about 550; sparse queues hold far fewer) is written run by run
+    (Schedule._runs): the lines of one run of equal tracks within one block
+    of steps and one piece are one join. Any other path fills one template
+    per piece with one ``%`` call."""
     chunk = _SERIES_CHUNK
-    t = () if s._legs is None else s._tracks
-    if t and len(t) >= _DENSE_PER_TRACK * (t[-1] - t[0] + 1):
+    runs = s._runs(_DENSE_PER_TRACK)
+    if runs is not None:
         parts: list[str] = []
         step, limit = 0, chunk
-        for track, count in _runs(s):
+        for track, count in runs:
             end = line % scalars((track,))
             mid = end + a
             last = step + count

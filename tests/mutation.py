@@ -107,7 +107,11 @@ def _outcome(copy: Path, tests: list[str], timeout: float) -> tuple[str, str]:
     # unmutated run must pass first, so any of these comes from the mutant, as
     # does a signal: an abort when the address-space limit is hit in C code.
     if proc.returncode < 0:
-        return "killed", signal.Signals(-proc.returncode).name
+        number = -proc.returncode
+        try:
+            return "killed", signal.Signals(number).name
+        except ValueError:  # a real-time signal, which the enum does not name
+            return "killed", f"signal {number}"
     outcomes = {0: "survived", 1: "killed", 2: "killed", 3: "killed"}
     return outcomes.get(proc.returncode, f"error {proc.returncode}"), ""
 

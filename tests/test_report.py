@@ -534,17 +534,26 @@ _dense_series = st.integers(0, 5).flatmap(
     lambda qh: head_path_series(validate_instance(qh[0], qh[1], DiskGeometry(0, 5)),
                                 EVERY_ALGORITHM)
 )
-# Legs-built paths over bool tracks, run by run: csv.writer prints True,
-# json.dumps true, and the idle stops at the disk ends stay ints.
+# Legs-built paths over bool tracks: csv.writer prints True, json.dumps
+# true, and the idle stops at the disk ends stay ints.
 _bool_series = head_path_series(
     validate_instance((True,) * 40 + (False,) * 30, True, DiskGeometry(0, 5)), EVERY_ALGORITHM
 )
+# Dense legs-built paths whose equal tracks print apart (1 and True, 1 and
+# 1.0, 0.0 and -0.0), so they must not be written as one run.
+_mixed_series = [
+    head_path_series(validate_instance(queue, 1, DiskGeometry(0, 2)), EVERY_ALGORITHM)
+    for queue in ((1, True) * 48, (1, 1.0) * 48, (0.0, -0.0, 2) * 48)
+]
 
 
 @settings(max_examples=150)
 @given(st.one_of(_instances.map(lambda inst: head_path_series(inst, EVERY_ALGORITHM)),
                  _named_series, _dense_series))
 @example(_bool_series)
+@example(_mixed_series[0])
+@example(_mixed_series[1])
+@example(_mixed_series[2])
 @example([])
 @example([Schedule("ODSA", 5, ())])
 @example([Schedule("a%b", 2**70, (0,)), Schedule('"\\\u00e9%s', 7, ())])
@@ -569,10 +578,27 @@ def test_series_json_matches_json_dumps(series):
     )
 )
 @example(_bool_series)
+@example(_mixed_series[0])
+@example(_mixed_series[1])
+@example(_mixed_series[2])
 @example([Schedule("ODSA", 3, ()), Schedule("FIFO", 3, (4,))])
 @example([Schedule("a%b", 4, (5,)), Schedule("%s%%", 6, ())])
 def test_series_csv_matches_csv_writer_on_any_path(series):
     assert emit(series) == _reference_series_csv(series)
+
+
+def _record_runs(mp, taken):
+    """Patch Schedule._runs to append to ``taken`` the algorithm of each
+    schedule whose head path goes run by run."""
+    runs = Schedule._runs
+
+    def recorded(s, per_track):
+        result = runs(s, per_track)
+        if result is not None:
+            taken.append(s.algorithm)
+        return result
+
+    mp.setattr(Schedule, "_runs", recorded)
 
 
 def test_dense_paths_written_run_by_run_match_their_stops_built_twins():
@@ -582,13 +608,12 @@ def test_dense_paths_written_run_by_run_match_their_stops_built_twins():
     queue = [i * 7919 % 181 for i in range(12000)]
     rows = head_path_series(validate_instance(queue, 90), ALGORITHM_ORDER)
     twins = [Schedule(s.algorithm, s.start, s.stops, s.idle) for s in rows]
-    runs, runs_taken = report_module._runs, []
+    runs_taken = []
     for chunk in (7, report_module._SERIES_CHUNK):
         for fmt, point in (("csv", "\n"), ("json", "[\n          ")):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(report_module, "_SERIES_CHUNK", chunk)
-                mp.setattr(report_module, "_runs",
-                           lambda s: runs_taken.append(s.algorithm) or runs(s))
+                _record_runs(mp, runs_taken)
                 for row, twin in zip(rows, twins):
                     pieces = list(report_module.emit_pieces([row], fmt))
                     assert "".join(pieces) == emit([twin], fmt), (row.algorithm, chunk, fmt)
@@ -602,7 +627,20 @@ def test_runs_are_the_longest_runs_of_equal_tracks_in_the_head_path():
     # SCAN sweeps up 7, 7, 7 to the idle end 20, then down 5, 5, 3.
     inst = validate_instance((5, 5, 7, 7, 7, 3), 6, DiskGeometry(0, 20))
     scan = run_schedule("SCAN", inst)
-    assert list(report_module._runs(scan)) == [(6, 1), (7, 3), (20, 1), (5, 2), (3, 1)]
+    assert list(scan._runs(0)) == [(6, 1), (7, 3), (20, 1), (5, 2), (3, 1)]
+    assert scan._runs(2) is None  # 6 requests on the 5 tracks 3 to 7
+    assert Schedule(scan.algorithm, scan.start, scan.stops, scan.idle)._runs(0) is None
+
+
+@pytest.mark.parametrize("queue, exact", [
+    ((1, 1) * 48, True), ((1, True) * 48, False), ((1.0, 1) * 48, False),
+    ((2, 0.0, -0.0) * 48, False),
+])
+def test_runs_group_only_exact_int_tracks(queue, exact):
+    # 1 == True == 1.0 and 0.0 == -0.0, but csv.writer and json.dumps print
+    # them apart, so a run of them would print each as its first.
+    odsa = run_schedule("ODSA", validate_instance(queue, 1, DiskGeometry(0, 2)))
+    assert (odsa._runs(32) is not None) == exact
 
 
 @pytest.mark.parametrize("middle, runs_side", [(93, False), (94, True)])
@@ -611,9 +649,8 @@ def test_paths_go_run_by_run_from_32_requests_per_track_of_the_span(middle, runs
     # side starts at 96 requests.
     inst = validate_instance((10, *(11,) * middle, 12), 11)
     taken = []
-    runs = report_module._runs
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(report_module, "_runs", lambda s: taken.append(s) or runs(s))
+        _record_runs(mp, taken)
         assert emit([run_schedule("ODSA", inst)]) == _reference_series_csv(
             [run_schedule("ODSA", inst)]
         )
@@ -628,6 +665,7 @@ _csv_names = st.one_of(st.text(max_size=8), st.text(alphabet=',"\r\n%s a', max_s
 @given(st.lists(_csv_names, min_size=1, max_size=7), st.booleans())
 @example(["a,b"], False)
 @example(['say "hi"', "x\ny", "\r", "", "LOOK", "%s,"], True)
+@example(['a,"b"\r\n'], False)  # every character csv.writer quotes, in one name
 def test_csv_quotes_any_algorithm_name_like_csv_writer(names, include_published):
     base = case_report(1, EVERY_ALGORITHM)
     rows = tuple(Schedule(name, r.start, r.stops, r.idle) for name, r in zip(names, base.rows))
