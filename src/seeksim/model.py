@@ -1,12 +1,12 @@
 """Core value types shared by every module (geometry, transfer constants,
 instances and schedules) and the cost model that ranks schedules.
 
-Queues are tuples of int tracks in arrival order and heads are plain int
-tracks. All types are immutable classes compared by field, not dataclasses,
-so instances are safe to share across threads or processes. A value derived
-from the fields is computed on first read and then stored; two threads that
-read it first at the same time may both compute it, which is harmless, as
-both store equal values.
+Queues are tuples of int tracks in arrival order and heads are int tracks,
+all exact ints once an ``Instance`` holds them. All types are immutable
+classes compared by field, not dataclasses, so instances are safe to share
+across threads or processes. A value derived from the fields is computed on
+first read and then stored; two threads that read it first at the same time
+may both compute it, which is harmless, as both store equal values.
 """
 
 from __future__ import annotations
@@ -305,14 +305,11 @@ class Schedule(_Frozen):
 
     def _runs(self, per_track: int) -> Iterator[tuple[Track, int]] | None:
         """The head path as (track, count) runs of equal tracks, one bisect
-        per run, when the schedule is built from legs over exact ints that
-        hold at least ``per_track`` requests per track of their span; None
-        otherwise. Equal tracks of other types (1, True, 1.0) print apart,
-        so only exact ints are grouped."""
+        per run, when the schedule is built from legs whose tracks hold at
+        least ``per_track`` requests per track of their span; None
+        otherwise."""
         t = () if self._legs is None else self._tracks
         if not t or len(t) < per_track * (t[-1] - t[0] + 1):
-            return None
-        if operator.countOf(map(type, t), int) < len(t):
             return None
         return self._walk_runs()
 
@@ -339,26 +336,34 @@ class Schedule(_Frozen):
 
 
 class Instance(_Frozen):
-    """A validated (queue, head, geometry) triple."""
+    """A validated (queue, head, geometry) triple. This is the one place that
+    checks tracks: each track and the head become exact ints through
+    ``operator.index`` (a bool or int subclass is converted; a float, str,
+    None or Decimal raises SchedulingError naming the first one), and a
+    track outside the geometry raises OutOfRangeError."""
 
     _fields = ("queue", "head", "geometry")
 
-    def __init__(self, queue: tuple[Track, ...], head: Track, geometry: DiskGeometry):
-        self.__dict__.update(queue=queue, head=head, geometry=geometry)
+    def __init__(self, queue: Sequence[Track], head: Track, geometry: DiskGeometry):
+        given = tuple(queue)  # a generator, too, can be scanned for the bad value
+        try:
+            q, head = tuple(map(operator.index, given)), operator.index(head)
+        except TypeError:
+            bad = next((t for t in given if not hasattr(type(t), "__index__")), head)
+            raise SchedulingError(f"expected an integer track, got {_echo(repr(bad))}") from None
+        contains = geometry.contains
+        if (q and not (contains(min(q)) and contains(max(q)))) or not contains(head):
+            offending = [t for t in q if not contains(t)]
+            if not contains(head):
+                offending.append(head)
+            raise OutOfRangeError(offending, geometry)
+        self.__dict__.update(queue=q, head=head, geometry=geometry)
 
     @_derived
     def tracks(self) -> tuple[Track, ...]:
-        """The queue in ascending order, sorted once per instance and laid
-        out in that order in memory, so each pass over it reads memory in
-        sequence. Every scheduler but FIFO depends only on this multiset."""
-        ordered = sorted(self.queue)
-        # CPython shares one object per int in [-5, 256], and those objects
-        # already lie in value order, so a copy would change nothing.
-        if ordered and -5 <= ordered[0] and ordered[-1] <= 256:
-            return tuple(ordered)
-        # Parsed ints lie in memory in arrival order; fresh copies of the exact
-        # ints, made in sorted order, are read in sequence. Others stay as is.
-        return tuple([t + 0 if t.__class__ is int else t for t in ordered])
+        """The queue in ascending order, sorted once per instance. Every
+        scheduler but FIFO depends only on this multiset."""
+        return tuple(sorted(self.queue))
 
 
 def validate_instance(
@@ -370,11 +375,4 @@ def validate_instance(
     track. Validating an already validated instance's parts yields an equal
     Instance, so validation is idempotent. An empty queue is legal.
     """
-    q = tuple(queue)
-    contains = geometry.contains
-    if (q and not (contains(min(q)) and contains(max(q)))) or not contains(head):
-        offending = [t for t in q if not contains(t)]
-        if not contains(head):
-            offending.append(head)
-        raise OutOfRangeError(offending, geometry)
-    return Instance(q, head, geometry)
+    return Instance(queue, head, geometry)

@@ -352,12 +352,12 @@ def _path_pieces(
     """``s``'s head path in pieces of at most _SERIES_CHUNK points, each
     point as ``a`` + its step + ``line % scalars((track,))``.
 
-    A legs-built path whose tracks are exact ints and hold at least
-    _DENSE_PER_TRACK requests per track of their span (10^5 on [0, 180] hold
-    about 550; sparse queues hold far fewer) is written run by run
-    (Schedule._runs): the lines of one run of equal tracks within one block
-    of steps and one piece are one join. Any other path fills one template
-    per piece with one ``%`` call."""
+    A legs-built path whose tracks (exact ints, as an Instance holds them)
+    hold at least _DENSE_PER_TRACK requests per track of their span (10^5 on
+    [0, 180] hold about 550; sparse queues hold far fewer) is written run by
+    run (Schedule._runs): the lines of one run of equal tracks within one
+    block of steps and one piece are one join. Any other path fills one
+    template per piece with one ``%`` call."""
     chunk = _SERIES_CHUNK
     runs = s._runs(_DENSE_PER_TRACK)
     if runs is not None:

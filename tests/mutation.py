@@ -91,8 +91,12 @@ def mutants(source: str) -> Iterator[tuple[int, str, str]]:
 def _outcome(copy: Path, tests: list[str], timeout: float) -> tuple[str, str]:
     """The run's outcome, and what ended it when a signal did."""
     # No bytecode cache: two mutants of one size written within a second
-    # would otherwise share a stale .pyc.
-    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    # would otherwise share a stale .pyc. Temporary files go to a directory
+    # of the run's own inside the copy, removed after it: a run killed at the
+    # timeout never runs its own clean-up.
+    run_tmp = tempfile.mkdtemp(dir=copy)
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1",
+           "TMPDIR": run_tmp}
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
@@ -102,6 +106,8 @@ def _outcome(copy: Path, tests: list[str], timeout: float) -> tuple[str, str]:
         )
     except subprocess.TimeoutExpired:
         return "timeout", ""
+    finally:
+        shutil.rmtree(run_tmp, ignore_errors=True)
     # pytest exits 1 when a test fails, 2 when a test file fails to import and
     # 3 on an internal error, such as a mutant that runs main() on import. The
     # unmutated run must pass first, so any of these comes from the mutant, as

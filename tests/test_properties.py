@@ -21,6 +21,7 @@ from seeksim.schedulers import (
     schedule_scan,
     schedule_sstf,
 )
+from test_schedulers import _reference_sstf_run
 
 GEOM = DiskGeometry()
 
@@ -221,7 +222,7 @@ SCOPE = DiskGeometry(0, 6)
 SCOPE_TRACKS = range(SCOPE.min_track, SCOPE.max_track + 1)
 SCOPE_ENDS = {SCOPE.min_track, SCOPE.max_track}
 ORACLE_SEARCH_K = 4  # the oracle meets a search over every service order
-# Translated instances leave the small ints that CPython shares.
+# Translated instances lie wholly above the scope.
 SCOPE_SHIFT = 1000
 SHIFTED_SCOPE = DiskGeometry(SCOPE.min_track + SCOPE_SHIFT, SCOPE.max_track + SCOPE_SHIFT)
 # The algorithms whose total a mirror image keeps; SCAN and C-SCAN run on to
@@ -275,6 +276,9 @@ def test_small_scope_exhaustively(monkeypatch):
                     assert moved == tuple(t + SCOPE_SHIFT for t in twin.head_path()), (name, case)
                 for name in MIRROR_FREE:
                     assert run_schedule(name, mirrored).total_seek == totals[name], (name, case)
+                sstf_total, sstf_order = _reference_sstf_run(head, list(queue))
+                assert rows[names.index("SSTF")].service_order == tuple(sstf_order), case
+                assert totals["SSTF"] == sstf_total, case
                 if n <= ORACLE_SEARCH_K:
                     want = _brute_force_reference(queue, head)
                     assert rows[-1].service_order == want.service_order, case

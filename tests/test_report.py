@@ -534,26 +534,25 @@ _dense_series = st.integers(0, 5).flatmap(
     lambda qh: head_path_series(validate_instance(qh[0], qh[1], DiskGeometry(0, 5)),
                                 EVERY_ALGORITHM)
 )
-# Legs-built paths over bool tracks: csv.writer prints True, json.dumps
-# true, and the idle stops at the disk ends stay ints.
+# Legs-built paths over bool tracks, and over ints and bools mixed: an
+# Instance holds them as exact ints, so they print as ints in CSV and JSON.
 _bool_series = head_path_series(
     validate_instance((True,) * 40 + (False,) * 30, True, DiskGeometry(0, 5)), EVERY_ALGORITHM
 )
-# Dense legs-built paths whose equal tracks print apart (1 and True, 1 and
-# 1.0, 0.0 and -0.0), so they must not be written as one run.
-_mixed_series = [
-    head_path_series(validate_instance(queue, 1, DiskGeometry(0, 2)), EVERY_ALGORITHM)
-    for queue in ((1, True) * 48, (1, 1.0) * 48, (0.0, -0.0, 2) * 48)
-]
+_mixed_series = head_path_series(
+    validate_instance((1, True) * 48, 1, DiskGeometry(0, 2)), EVERY_ALGORITHM
+)
+# A path built from stops keeps each stop as given: 1, True and 1.0, or 0.0
+# and -0.0, are equal but print apart.
+_equal_apart = [Schedule("ODSA", 1, (1, True, 1.0, 1, 0.0, -0.0, 0))]
 
 
 @settings(max_examples=150)
 @given(st.one_of(_instances.map(lambda inst: head_path_series(inst, EVERY_ALGORITHM)),
                  _named_series, _dense_series))
 @example(_bool_series)
-@example(_mixed_series[0])
-@example(_mixed_series[1])
-@example(_mixed_series[2])
+@example(_mixed_series)
+@example(_equal_apart)
 @example([])
 @example([Schedule("ODSA", 5, ())])
 @example([Schedule("a%b", 2**70, (0,)), Schedule('"\\\u00e9%s', 7, ())])
@@ -578,9 +577,8 @@ def test_series_json_matches_json_dumps(series):
     )
 )
 @example(_bool_series)
-@example(_mixed_series[0])
-@example(_mixed_series[1])
-@example(_mixed_series[2])
+@example(_mixed_series)
+@example(_equal_apart)
 @example([Schedule("ODSA", 3, ()), Schedule("FIFO", 3, (4,))])
 @example([Schedule("a%b", 4, (5,)), Schedule("%s%%", 6, ())])
 def test_series_csv_matches_csv_writer_on_any_path(series):
@@ -632,15 +630,23 @@ def test_runs_are_the_longest_runs_of_equal_tracks_in_the_head_path():
     assert Schedule(scan.algorithm, scan.start, scan.stops, scan.idle)._runs(0) is None
 
 
-@pytest.mark.parametrize("queue, exact", [
-    ((1, 1) * 48, True), ((1, True) * 48, False), ((1.0, 1) * 48, False),
-    ((2, 0.0, -0.0) * 48, False),
-])
-def test_runs_group_only_exact_int_tracks(queue, exact):
-    # 1 == True == 1.0 and 0.0 == -0.0, but csv.writer and json.dumps print
-    # them apart, so a run of them would print each as its first.
-    odsa = run_schedule("ODSA", validate_instance(queue, 1, DiskGeometry(0, 2)))
-    assert (odsa._runs(32) is not None) == exact
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bool_tracks_print_as_the_ints_they_equal(fmt):
+    # Both go run by run: 70 requests on the 2 tracks 0 and 1, and 96 on 1.
+    for series, queue, top in ((_bool_series, (1,) * 40 + (0,) * 30, 5),
+                               (_mixed_series, (1,) * 96, 2)):
+        ints = validate_instance(queue, 1, DiskGeometry(0, top))
+        assert emit(series, fmt) == emit(head_path_series(ints, EVERY_ALGORITHM), fmt)
+        assert all(s._runs(32) is not None for s in series if s.algorithm != "FIFO")
+    assert "true" not in emit(_bool_series, "json")
+
+
+@pytest.mark.parametrize("queue", [(1, 1.0) * 48, (0.0, -0.0, 2) * 48])
+def test_float_tracks_equal_to_ints_are_refused(queue):
+    # 1 == 1.0 and 0.0 == -0.0, but csv.writer and json.dumps print them
+    # apart; no Instance holds a float, so no run of equal tracks mixes them.
+    with pytest.raises(SchedulingError, match="expected an integer track"):
+        validate_instance(queue, 1, DiskGeometry(0, 2))
 
 
 @pytest.mark.parametrize("middle, runs_side", [(93, False), (94, True)])

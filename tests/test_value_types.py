@@ -9,7 +9,7 @@ printed, so any code that logs or compares them sees the same text.
 import copy
 import inspect
 import pickle
-import platform
+from decimal import Decimal
 
 import pytest
 from hypothesis import example, given
@@ -19,6 +19,7 @@ from seeksim import model
 from seeksim.model import (
     DiskGeometry,
     Instance,
+    OutOfRangeError,
     Schedule,
     SchedulingError,
     TransferModel,
@@ -183,6 +184,10 @@ def test_values_survive_pickle_and_copy(cls, args, field, other, text):
         (lambda: generate(0), SchedulingError, "count must be >= 1, got 0"),
         (lambda: generate(1, seed=-1), SchedulingError, "seed must fit in 64 unsigned bits"),
         (lambda: generate(1, seed=2**64), SchedulingError, "seed must fit in 64 unsigned bits"),
+        (lambda: Instance((5, 2.5), 4, DiskGeometry()), SchedulingError,
+         "expected an integer track, got '2.5'"),
+        (lambda: Instance((181,), 45, DiskGeometry()), OutOfRangeError,
+         "track(s) '181' outside geometry ['0', '180']"),
     ],
 )
 def test_constructor_errors_keep_class_and_message(make, error, message):
@@ -359,27 +364,50 @@ class _Track(int):
     """An int subclass, as a library caller might pass."""
 
 
-@given(st.lists(st.one_of(
-    st.integers(-300, 10**6), st.booleans(), st.floats(-1e3, 1e6), st.integers(0, 999).map(_Track),
-)))
-@example([True, 1.5, _Track(300), 300, 1, 0.0, False, _Track(1)])
-def test_tracks_sort_the_queue_and_keep_each_type(queue):
-    tracks = Instance(tuple(queue), 0, DiskGeometry()).tracks
-    ordered = sorted(queue)
-    assert tracks == tuple(ordered)
-    # The sort is stable, so tracks[i] came from ordered[i]. Only exact ints
-    # are copied: a bool, float or int subclass is the caller's own object.
-    for t, source in zip(tracks, ordered):
-        assert type(t) is type(source)
-        assert t is source or type(t) is int
+class _Index:
+    """A non-int type that an int can be taken from, through ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
 
 
-@pytest.mark.skipif(platform.python_implementation() != "CPython", reason="object identity of ints")
-def test_tracks_are_fresh_copies_of_the_queue_ints():
-    # CPython caches the ints up to 256, so only the larger ones can be
-    # fresh copies; a tracks that returned the queue's own objects fails.
-    queue = generate(500, DiskGeometry(0, 10**6), seed=7)
-    ids = set(map(id, queue))
-    large = [t for t in validate_instance(queue, 0, DiskGeometry(0, 10**6)).tracks if t > 256]
-    assert len(large) > 400
-    assert not any(id(t) in ids for t in large)
+_INT_LIKES = st.one_of(
+    st.integers(-300, 10**6), st.booleans(), st.integers(-999, 999).map(_Track),
+    st.integers(-999, 999).map(_Index),
+)
+_NOT_INTS = st.one_of(st.floats(), st.text(max_size=30), st.none(), st.decimals())
+
+
+@given(
+    st.lists(_INT_LIKES, max_size=12), _INT_LIKES,
+    # A value no Instance takes, and where it goes: the head at -1, else at
+    # that index of the queue (or its end).
+    st.none() | st.tuples(_NOT_INTS, st.integers(-1, 12)),
+)
+@example([True, _Track(300), 300, 1, False, _Track(1), _Index(7)], True, None)
+@example([1, 2], 0, (1.0, 1))
+@example([1, 2], 0, (Decimal(1), -1))
+@example([], 0, (None, -1))
+def test_instances_hold_exact_int_tracks_and_refuse_anything_else(queue, head, bad):
+    geometry = DiskGeometry(-1000, 10**6)
+    if bad is not None:
+        value, at = bad
+        if at < 0:
+            head = value
+        else:
+            queue = queue[:at] + [value] + queue[at:]
+    makes = (lambda: validate_instance(queue, head, geometry),
+             lambda: Instance(iter(queue), head, geometry))
+    for make in makes:
+        if bad is not None:
+            with pytest.raises(SchedulingError) as info:
+                make()
+            assert str(info.value) == f"expected an integer track, got {model._echo(repr(value))}"
+            continue
+        inst = make()
+        for got, given in zip((*inst.queue, inst.head), (*queue, head), strict=True):
+            assert type(got) is int and got == int(given)
+        assert inst.tracks == tuple(sorted(map(int, queue)))
