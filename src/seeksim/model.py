@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from itertools import chain
 
@@ -188,6 +189,43 @@ def _leg_tracks(seq: Sequence[Track], i: int, j: int) -> Sequence[Track]:
     return seq[i : j - 1 : -1] if j else seq[i::-1]
 
 
+def _leg_runs(seq: Sequence[Track], i: int, j: int) -> Iterator[tuple[Track, int]]:
+    """The leg ``(seq, i, j)`` as (track, count) runs of equal tracks, in
+    walk order, one bisect per run."""
+    if i <= j:
+        while i <= j:
+            k = bisect_right(seq, seq[i], i, j + 1)
+            yield seq[i], k - i
+            i = k
+    else:
+        while i >= j:
+            k = bisect_left(seq, seq[i], j, i)
+            yield seq[i], i - k + 1
+            i = k - 1
+
+
+def _dense(n: int, lo: Track, hi: Track, per_track: int) -> bool:
+    """Whether ``n`` requests on tracks ``lo`` to ``hi`` hold at least
+    ``per_track`` requests per track of that span: the test that picks a
+    path by runs of equal tracks over one by request. Each caller passes its
+    own threshold, set at its measured crossover."""
+    return n >= per_track * (hi - lo + 1)
+
+
+# Instance.tracks counting-sorts a queue with at least _COUNT_SORT_PER_TRACK
+# requests per track of its span, unless its tracks lie fewer than
+# _COUNT_SORT_MIN_SPAN apart. CPython 3.11.7 on 2 shared vCPUs, sorted()
+# against counting:
+# - 10^5 uniform requests: at 1 per track 25 against 30 ms, at 2 22 against
+#   21, at 4 19 against 16, at 32 17 against 7, at 550 12 against 4; so
+#   counting breaks even between 2 and 4 per track;
+# - on few tracks timsort needs about one pass: 10^5 requests on 1 track 1.0
+#   against 4.1 ms, on 2 3.4 against 4.1, on 8 5.9 against 3.8; and a short
+#   queue pays Counter's set-up: 8 requests on 1 track 0.2 against 1.5 us.
+_COUNT_SORT_PER_TRACK = 4
+_COUNT_SORT_MIN_SPAN = 8
+
+
 def _joined(parts: list[tuple[Track, ...]]) -> tuple[Track, ...]:
     """The concatenation of ``parts``: one part as it is, two in one copy
     (cheaper than a pass for the few tracks of a verify trial), more in one
@@ -303,29 +341,20 @@ class Schedule(_Frozen):
     def step_seeks(self) -> tuple[int, ...]:
         return tuple(self._seeks(self.start, self.stops))
 
+    def _dense_legs(self, per_track: int) -> bool:
+        """Whether the schedule is built from legs whose sorted tracks hold
+        at least ``per_track`` requests per track of their span (see
+        _dense). A schedule built from stops never is: its sequences need
+        not be sorted, so no bisection finds their runs."""
+        t = () if self._legs is None else self._tracks
+        return bool(t) and _dense(len(t), t[0], t[-1], per_track)
+
     def _runs(self, per_track: int) -> Iterator[tuple[Track, int]] | None:
         """The head path as (track, count) runs of equal tracks, one bisect
-        per run, when the schedule is built from legs whose tracks hold at
-        least ``per_track`` requests per track of their span; None
-        otherwise."""
-        t = () if self._legs is None else self._tracks
-        if not t or len(t) < per_track * (t[-1] - t[0] + 1):
+        per run, when ``_dense_legs(per_track)``; None otherwise."""
+        if not self._dense_legs(per_track):
             return None
-        return self._walk_runs()
-
-    def _walk_runs(self) -> Iterator[tuple[Track, int]]:
-        yield self.start, 1
-        for seq, i, j in self._legs:
-            if i <= j:
-                while i <= j:
-                    k = bisect_right(seq, seq[i], i, j + 1)
-                    yield seq[i], k - i
-                    i = k
-            else:
-                while i >= j:
-                    k = bisect_left(seq, seq[i], j, i)
-                    yield seq[i], i - k + 1
-                    i = k - 1
+        return chain(((self.start, 1),), *[_leg_runs(*leg) for leg in self._legs])
 
     def head_path(self) -> tuple[Track, ...]:
         """All head positions in order, starting at the initial position."""
@@ -349,21 +378,44 @@ class Instance(_Frozen):
         try:
             q, head = tuple(map(operator.index, given)), operator.index(head)
         except TypeError:
-            bad = next((t for t in given if not hasattr(type(t), "__index__")), head)
+            bad = next(filter(_refused, (*given, head)))
             raise SchedulingError(f"expected an integer track, got {_echo(repr(bad))}") from None
+        # The queue's lowest and highest tracks (the head's, when it is
+        # empty), kept for the density test of ``tracks``.
+        span = (min(q), max(q)) if q else (head, head)
         contains = geometry.contains
-        if (q and not (contains(min(q)) and contains(max(q)))) or not contains(head):
+        if not (contains(span[0]) and contains(span[1]) and contains(head)):
             offending = [t for t in q if not contains(t)]
             if not contains(head):
                 offending.append(head)
             raise OutOfRangeError(offending, geometry)
-        self.__dict__.update(queue=q, head=head, geometry=geometry)
+        self.__dict__.update(queue=q, head=head, geometry=geometry, _span=span)
 
     @_derived
     def tracks(self) -> tuple[Track, ...]:
         """The queue in ascending order, sorted once per instance. Every
-        scheduler but FIFO depends only on this multiset."""
-        return tuple(sorted(self.queue))
+        scheduler but FIFO depends only on this multiset. A queue with at
+        least _COUNT_SORT_PER_TRACK requests per track of its span, on
+        tracks at least _COUNT_SORT_MIN_SPAN apart, is counting-sorted in
+        O(n + span): each distinct track, in order, repeated by its count.
+        Any other is sorted by comparison."""
+        q, (lo, hi) = self.queue, self._span
+        if hi - lo < _COUNT_SORT_MIN_SPAN or not _dense(len(q), lo, hi, _COUNT_SORT_PER_TRACK):
+            return tuple(sorted(q))
+        counts = Counter(q)
+        tracks: list[Track] = []
+        for t in sorted(counts):
+            tracks += [t] * counts[t]
+        return tuple(tracks)
+
+
+def _refused(value) -> bool:
+    """Whether ``operator.index`` refuses ``value``."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return True
+    return False
 
 
 def validate_instance(

@@ -21,6 +21,7 @@ from .model import (
     TransferModel,
     _Frozen,
     _Leg,
+    _leg_runs,
     _leg_tracks,
     average_seek,
     transfer_time,
@@ -155,13 +156,13 @@ _PUBLISHED_COLUMNS = _COLUMNS + ("published_average_seek", "published_transfer_t
 
 
 def _table_rows(report: ComparisonReport, include_published: bool) -> Iterator[tuple]:
-    """Each row's values in column order, its service order as runs (see
-    ``_order_texts``). The averages of an empty queue are undefined, so both are
-    None and display as empty strings."""
+    """Each row's values in column order, with the row itself in place of
+    its service order (see ``_order_texts``). The averages of an empty queue
+    are undefined, so both are None and display as empty strings."""
     for row in report.rows:
         avg = average_seek(row) if row._served else None
         transfer = None if avg is None else transfer_time(avg, report.model)
-        values = (row.algorithm, row.total_seek, avg, transfer, row._service_runs,
+        values = (row.algorithm, row.total_seek, avg, transfer, row,
                   display(avg), display(transfer))
         if include_published:
             pub_avg, pub_transfer = PUBLISHED_TABLES[report.case_id].get(row.algorithm, ("", ""))
@@ -175,11 +176,24 @@ def _table_rows(report: ComparisonReport, include_published: bool) -> Iterator[t
 # grows with the queue.
 _SERIES_CHUNK = 4096
 
+# A legs-built row's head path and service order go run by run when its
+# sorted tracks hold at least this many requests per track of their span.
+# Below it the runs are too short to pay. CPython 3.11.7 on 2 shared vCPUs,
+# template against runs, 10^5 requests:
+# - one ODSA head path: CSV at 4 per track 9.9 against 42 ms, at 32 8.7
+#   against 8.7, at 550 8.8 against 3.4; JSON, whose template also pays
+#   _json_scalars, breaks even between 20 and 24 per track, and reads 16.8
+#   against 12.3 at 32;
+# - one sorted service order: CSV at 8 per track 5.2 against 11.1 ms, at 16
+#   5.0 against 5.9, at 32 5.1 against 3.1, at 550 4.7 against 0.2; JSON at
+#   16 8.2 against 9.7, at 32 9.7 against 5.0, at 550 7.8 against 0.5.
+_DENSE_PER_TRACK = 32
+
 
 def _order_texts(
-    orders: list[Sequence[_Leg]], render: Callable[[tuple], str], sep: str
+    rows: Sequence[Schedule], render: Callable[[tuple], str], sep: str
 ) -> Iterator[str]:
-    """The text of each service order in ``orders``, given as runs (see
+    """The text of each row's service order, walked as its service runs (see
     Schedule): ``render`` turns a tuple of tracks into text, and ``sep``
     joins two such texts.
 
@@ -190,7 +204,15 @@ def _order_texts(
     index range [a, b) walked up or [b, a) walked down, is rendered once
     per report. Keys hold the sequences' ids, which stay unique while the
     rows hold the sequences.
+
+    A piece of the sorted tracks of a legs-built row that holds at least
+    _DENSE_PER_TRACK requests per track of their span is rendered run by
+    run, ``(render((track,)) + sep) * count`` per run of equal tracks, in
+    O(distinct tracks) calls. Any other piece, a stops-built row's (FIFO's
+    arrival order among them) included, is one ``render`` call.
     """
+    orders = [row._service_runs for row in rows]
+    dense = {id(row._tracks) for row in rows if row._dense_legs(_DENSE_PER_TRACK)}
     ends: dict[int, set[int]] = {}
     for runs in orders:
         for seq, i, j in runs:
@@ -215,8 +237,14 @@ def _order_texts(
             key = id(seq), a, b
             text = texts.get(key)
             if text is None:
-                tracks = _leg_tracks(seq, a, b - 1) if a < b else _leg_tracks(seq, a - 1, b)
-                text = texts[key] = render(tuple(tracks))
+                leg = (seq, a, b - 1) if a < b else (seq, a - 1, b)
+                if id(seq) in dense:
+                    runs = [(render((t,)) + sep) * k for t, k in _leg_runs(*leg)]
+                    runs[-1] = runs[-1][: -len(sep)]  # cut in the last run, not a copy of all
+                    text = "".join(runs)
+                else:
+                    text = render(tuple(_leg_tracks(*leg)))
+                texts[key] = text
             uses[key] -= 1
             if not uses[key]:
                 del texts[key]
@@ -232,7 +260,8 @@ def _order_texts(
 # bulk int column with one C-level ``%`` call on a template of "%s" slots, not
 # one str() call per int: "%s" is exactly str(), which is also what json.dumps
 # prints for a plain int, and ``%`` needs a tuple, as it takes a list as one
-# argument. A dense head path goes run by run instead (see _path_pieces).
+# argument. A dense head path and a dense service order go run by run
+# instead (see _path_pieces and _order_texts), and print the same bytes.
 def _csv_cell(text: str) -> str:
     """``text`` as a cell of csv.writer(lineterminator="\\n"); plain names skip it."""
     if not any(c in text for c in ',"\r\n'):
@@ -315,15 +344,6 @@ def _comparison_json(report: ComparisonReport, include_published: bool) -> Itera
 # Step texts: str(i) for the steps below 1000, and the three last digits of
 # every other step, behind the prefix str(step // 1000). Built on first use.
 _STEP_TEXTS: tuple[list[str], list[str]] | None = None
-
-# A legs-built head path goes run by run when its sorted tracks hold at least
-# this many requests per track of their span. A run costs about as much as 30
-# points of a CSV template, so below this the runs are too short to pay. One
-# ODSA path of 10^5 requests, CPython 3.11.7 on 2 shared vCPUs, template
-# against runs: CSV at 4 per track 9.9 against 42 ms, at 32 8.7 against 8.7,
-# at 550 8.8 against 3.4; JSON, whose template also pays _json_scalars, breaks
-# even lower, between 20 and 24 per track, and reads 16.8 against 12.3 at 32.
-_DENSE_PER_TRACK = 32
 
 
 def _add_lines(parts: list[str], lo: int, hi: int, a: str, mid: str, end: str) -> None:

@@ -78,11 +78,27 @@ def _lines(text: str) -> Iterator[str]:
         yield from run.group().splitlines(keepends=True)
 
 
+# The queue's tokens go through a table of the distinct tokens' ints when
+# the first _PREFIX of them repeat each distinct token _PER_DISTINCT times on
+# average, so a dense queue (10^5 requests on [0, 180] repeat 181 tokens)
+# calls int() once per distinct token. Converting 10^5 tokens, CPython 3.11.7
+# on 2 shared vCPUs, int() per token against the table: 181 distinct 13.7
+# against 5.9 ms, 1000 distinct 9.9 against 7.6, 5000 11.3 against 10.9,
+# 20000 11.7 against 15.9, 10^5 14.9 against 50.7. So the table pays from
+# about 20 tokens per distinct one. A full prefix that passes comes from at
+# most a few hundred distinct tokens, which a queue of 10^4 tokens repeats
+# 40 times; a shorter queue costs well under a millisecond either way.
+_PREFIX = 2048
+_PER_DISTINCT = 8
+
+
 def parse_requests(text: str) -> tuple[tuple[int, ...], int | None]:
     """Parse request file text into a queue and the optional head position.
 
     Raises ParseError (with line/column) on non-integer tokens, a misplaced
-    or repeated head directive, or negative tracks.
+    or repeated head directive, or negative tracks. Every token means what
+    int() makes of it; a dense queue converts each distinct token once (see
+    _PREFIX), at a cost of O(tokens + distinct tokens).
     """
     head: int | None = None
     bulk_tried = False
@@ -114,12 +130,21 @@ def parse_requests(text: str) -> tuple[tuple[int, ...], int | None]:
             rest = text[start:]
             if "#" in rest:
                 rest = "\n".join(row.partition("#")[0] for row in rest.splitlines())
+            tokens = rest.replace(",", " ").split()
+            prefix = tokens[:_PREFIX]
+            dense = _PER_DISTINCT * len(set(prefix)) <= len(prefix)
             try:
-                values = tuple(map(int, rest.replace(",", " ").split()))
+                if dense:
+                    distinct = dict.fromkeys(tokens)
+                    table = dict(zip(distinct, map(int, distinct)))
+                    values, ints = tuple(map(table.__getitem__, tokens)), table.values()
+                else:
+                    values = ints = tuple(map(int, tokens))
             except ValueError:
-                values = None
-            if values is not None and min(values) >= 0:
-                return values, head
+                pass
+            else:
+                if min(ints) >= 0:
+                    return values, head
         for m in _TOKEN.finditer(line):
             _parse_track(m.group(), lineno, m.start() + 1)
     return (), head

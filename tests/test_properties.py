@@ -9,7 +9,7 @@ from itertools import combinations_with_replacement, permutations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seeksim import report
+from seeksim import model, report
 from seeksim.model import DiskGeometry, Schedule, TransferModel, average_seek, validate_instance
 from seeksim.report import ALGORITHM_ORDER, ORACLE_NAME, ComparisonReport, emit, run_schedule
 from seeksim.schedulers import (
@@ -231,9 +231,12 @@ MIRROR_FREE = ("FIFO", "SSTF", "LOOK", "ODSA", ORACLE_NAME)
 
 
 def test_small_scope_exhaustively(monkeypatch):
-    # Every legs-built head path goes run by run, however sparse; the
-    # stops-built twins fill templates.
+    # Every legs-built head path and service order goes run by run, and
+    # every queue is counting-sorted, however sparse; the stops-built twins
+    # fill templates.
     monkeypatch.setattr(report, "_DENSE_PER_TRACK", 0)
+    monkeypatch.setattr(model, "_COUNT_SORT_PER_TRACK", 0)
+    monkeypatch.setattr(model, "_COUNT_SORT_MIN_SPAN", 0)
     names = (*ALGORITHM_ORDER, ORACLE_NAME)
     for n in range(SCOPE_K + 1):
         for queue in combinations_with_replacement(SCOPE_TRACKS, n):

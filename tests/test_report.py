@@ -621,6 +621,27 @@ def test_dense_paths_written_run_by_run_match_their_stops_built_twins():
     assert min(len(row.head_path()) for row in rows) > 10001
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_dense_tables_written_run_by_run_match_their_stops_built_twins(fmt, monkeypatch):
+    # 12002 requests on [0, 180]: each legs-built row's sorted tracks hold
+    # about 66 per track, so its service order goes run by run; its twin,
+    # built from its stops, renders each piece in one call. The arrival order
+    # starts and ends on track 90, so a density test read off FIFO's first
+    # and last request would find a span of one track.
+    queue = [90] + [i * 7919 % 181 for i in range(12000)] + [90]
+    inst = validate_instance(queue, 45)
+    report = run_comparison(inst, TransferModel())
+    twins = tuple(Schedule(s.algorithm, s.start, s.stops, s.idle) for s in report.rows)
+    runs = []
+    leg_runs = report_module._leg_runs
+    monkeypatch.setattr(report_module, "_leg_runs", lambda *leg: runs.append(leg) or leg_runs(*leg))
+    text = emit(report, fmt)
+    assert runs and all(seq is inst.tracks for seq, _, _ in runs)
+    reference = _reference_table_csv if fmt == "csv" else _reference_table_json
+    assert text == emit(ComparisonReport(inst, report.model, twins), fmt)
+    assert text == reference(report, False)
+
+
 def test_runs_are_the_longest_runs_of_equal_tracks_in_the_head_path():
     # SCAN sweeps up 7, 7, 7 to the idle end 20, then down 5, 5, 3.
     inst = validate_instance((5, 5, 7, 7, 7, 3), 6, DiskGeometry(0, 20))
@@ -690,7 +711,8 @@ class _Text(str):
 def test_order_texts_render_each_piece_once_and_keep_none_past_its_last_use():
     t = tuple(range(100, 110))
     # Runs cut at 0, 4 and 10: up [0, 4), up [4, 10) and down [4, 0).
-    orders = [[(t, 0, 9)], [(t, 4, 9), (t, 3, 0)], [(t, 3, 0)]]
+    legs = [((t, 0, 9),), ((t, 4, 9), (t, 3, 0)), ((t, 3, 0),)]
+    rows = [Schedule._of_legs("X", 100, t, row) for row in legs]
     rendered = []
 
     def render(run):
@@ -698,7 +720,7 @@ def test_order_texts_render_each_piece_once_and_keep_none_past_its_last_use():
         rendered.append((run, weakref.ref(text)))
         return text
 
-    texts = report_module._order_texts(orders, render, ";")
+    texts = report_module._order_texts(rows, render, ";")
     assert next(texts) == "100,101,102,103;104,105,106,107,108,109"
     assert next(texts) == "104,105,106,107,108,109;103,102,101,100"
     assert [run for run, _ in rendered] == [t[:4], t[4:], t[3::-1]]

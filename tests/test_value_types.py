@@ -9,6 +9,7 @@ printed, so any code that logs or compares them sees the same text.
 import copy
 import inspect
 import pickle
+from collections import Counter
 from decimal import Decimal
 
 import pytest
@@ -378,7 +379,9 @@ _INT_LIKES = st.one_of(
     st.integers(-300, 10**6), st.booleans(), st.integers(-999, 999).map(_Track),
     st.integers(-999, 999).map(_Index),
 )
-_NOT_INTS = st.one_of(st.floats(), st.text(max_size=30), st.none(), st.decimals())
+# The last: a type whose __index__ returns a float, which operator.index refuses.
+_NOT_INTS = st.one_of(st.floats(), st.text(max_size=30), st.none(), st.decimals(),
+                      st.floats().map(_Index))
 
 
 @given(
@@ -391,6 +394,7 @@ _NOT_INTS = st.one_of(st.floats(), st.text(max_size=30), st.none(), st.decimals(
 @example([1, 2], 0, (1.0, 1))
 @example([1, 2], 0, (Decimal(1), -1))
 @example([], 0, (None, -1))
+@example([1, 3], 5, (_Index(1.5), 1))
 def test_instances_hold_exact_int_tracks_and_refuse_anything_else(queue, head, bad):
     geometry = DiskGeometry(-1000, 10**6)
     if bad is not None:
@@ -411,3 +415,29 @@ def test_instances_hold_exact_int_tracks_and_refuse_anything_else(queue, head, b
         for got, given in zip((*inst.queue, inst.head), (*queue, head), strict=True):
             assert type(got) is int and got == int(given)
         assert inst.tracks == tuple(sorted(map(int, queue)))
+
+
+@pytest.mark.parametrize("queue, counted", [
+    # Tracks 3 to 11, each drawn in turn: a span of 9 tracks, counting-sorted
+    # from _COUNT_SORT_PER_TRACK requests per track on.
+    ([3 + i * 4 % 9 for i in range(9 * model._COUNT_SORT_PER_TRACK)][::-1], True),
+    ([3 + i * 4 % 9 for i in range(9 * model._COUNT_SORT_PER_TRACK - 1)][::-1], False),
+    # Tracks 3 to 10 lie 7 apart, fewer than _COUNT_SORT_MIN_SPAN.
+    ([3 + i * 3 % 8 for i in range(800)][::-1], False),
+])
+def test_tracks_sort_the_queue_on_either_side_of_the_counting_sort_thresholds(
+    monkeypatch, queue, counted
+):
+    assert max(queue) - min(queue) + 1 in (8, 9) and len(set(queue)) in (8, 9)
+    calls = []
+    monkeypatch.setattr(model, "Counter", lambda q: calls.append(q) or Counter(q))
+    assert validate_instance(queue, 0).tracks == tuple(sorted(queue))
+    assert bool(calls) == counted
+
+
+@given(st.integers(-3, 3), st.integers(0, 12).flatmap(
+    lambda span: st.lists(st.integers(0, span), max_size=80)))
+@example(0, [])
+def test_tracks_are_the_sorted_queue(low, queue):
+    queue = [low + t for t in queue]
+    assert validate_instance(queue, low, DiskGeometry(-3, 20)).tracks == tuple(sorted(queue))

@@ -110,6 +110,8 @@ def test_bad_head_value_column_points_at_the_value(text, column):
         ("head 5\n1 2\n3 # c\n", ["5", "1", "2", "3"]),
         # Without one the body is one split, and track 0 passes it.
         ("head 5\n0 1\n", ["5", "0", "1"]),
+        # A dense body goes through a table of its distinct tokens.
+        ("head 5\n" + "0, 1, 01\n" * 8, ["5", "0", "1", "01"]),
     ],
 )
 def test_parse_converts_each_token_once(monkeypatch, text, converted):
@@ -308,4 +310,43 @@ _BULK_TEXT = "# 40 seeded uniform requests\nhead 90\n" + "\n".join(_BULK_LINES) 
 @example("# c\x0chead 5\x1e1, 2\r3\x854\u2029x5\x1d6\n")
 @example("# c\rhead 5\x0b\x1c1\u20282\r\nhead 6\n")
 def test_parse_matches_regex_reference(text):
+    assert _outcome(parse_requests, text) == _outcome(_reference_parse_requests, text)
+
+
+# Tokens that int() reads in its own ways, and ones it refuses: a 4301-digit
+# token exceeds its default limit on digits.
+_ODD_TOKENS = ["+5", "05", "1_0", "-0", "\u0663", "\uff17\u0661", "7" * 4301]
+_BAD_TOKENS = ["x", "-3", "4.5", "1__0", "+-1", "7" * 4301]
+
+
+@st.composite
+def _dense_request_texts(draw):
+    """Request file text whose queue repeats a few tokens often enough to go
+    through the table of distinct tokens, with maybe one bad or negative
+    token placed among them, and maybe a tail of distinct tokens."""
+    vocabulary = draw(st.lists(st.one_of(st.integers(0, 180).map(str),
+                                         st.sampled_from(_ODD_TOKENS)),
+                               min_size=1, max_size=4, unique=True))
+    tokens = draw(st.lists(st.sampled_from(vocabulary), min_size=80, max_size=200))
+    odd = draw(st.none() | st.tuples(st.sampled_from(_BAD_TOKENS), st.integers(0, len(tokens))))
+    if odd is not None:
+        tokens.insert(odd[1], odd[0])
+    tokens += draw(st.lists(st.integers(181, 10**6).map(str), max_size=4, unique=True))
+    prefix = tokens[: workload._PREFIX]
+    assert workload._PER_DISTINCT * len(set(prefix)) <= len(prefix)
+    width = draw(st.integers(1, 12))
+    lines = [", ".join(tokens[i : i + width]) for i in range(0, len(tokens), width)]
+    head = draw(st.sampled_from(["", "head 90\n", "# c\nhead 9\n"]))
+    return head + "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150)
+@given(_dense_request_texts())
+@example("head 90\n" + "1, 2\n" * 1024 + ", ".join(map(str, range(181, 5181))) + "\n")
+@example("head 90\n" + "1, 2\n" * 1024 + "3, x\n")
+@example("1, 2, 1\n" * 30 + "2, -1\n")
+def test_dense_queues_parse_like_int_token_by_token(text):
+    # A dense prefix may be followed by a sparse tail, and a bad or negative
+    # token anywhere raises the ParseError, line and column that the
+    # token-by-token reference raises.
     assert _outcome(parse_requests, text) == _outcome(_reference_parse_requests, text)
