@@ -1,12 +1,13 @@
 """Core value types shared by every module (geometry, transfer constants,
 instances and schedules) and the cost model that ranks schedules.
 
-Queues are tuples of int tracks in arrival order and heads are int tracks,
-all exact ints once an ``Instance`` holds them. All types are immutable
-classes compared by field, not dataclasses, so instances are safe to share
-across threads or processes. A value derived from the fields is computed on
-first read and then stored; two threads that read it first at the same time
-may both compute it, which is harmless, as both store equal values.
+Queues are tuples of int tracks in arrival order and heads are int tracks:
+exact ints wherever an Instance, a Schedule or a DiskGeometry holds them.
+All types are immutable classes compared by field, not dataclasses, so
+instances are safe to share across threads or processes. A value derived
+from the fields is computed on first read and then stored; two threads that
+read it first at the same time may both compute it, which is harmless, as
+both store equal values.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 
 Track = int
@@ -103,12 +104,32 @@ class _derived:
         return value
 
 
+def _int(value) -> int:
+    """``value`` as an exact int, through ``operator.index``: a bool or int
+    subclass is converted, and a float, str, None or Decimal raises
+    SchedulingError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise SchedulingError(f"expected an integer track, got {_echo(repr(value))}") from None
+
+
+def _ints(values: Iterable) -> tuple[int, ...]:
+    """``values`` as exact ints (see _int); the first refused one is named."""
+    given = tuple(values)  # a generator, too, can be scanned for the bad value
+    try:
+        return tuple(map(operator.index, given))
+    except TypeError:
+        return tuple(map(_int, given))  # raises at the first refused value
+
+
 class DiskGeometry(_Frozen):
-    """Inclusive track bounds of the modeled disk."""
+    """Inclusive track bounds of the modeled disk, exact ints (see _int)."""
 
     _fields = ("min_track", "max_track")
 
     def __init__(self, min_track: Track = DEFAULT_MIN_TRACK, max_track: Track = DEFAULT_MAX_TRACK):
+        min_track, max_track = _int(min_track), _int(max_track)
         if min_track >= max_track:
             raise SchedulingError(
                 f"min_track ({_echo(str(min_track))}) must be "
@@ -158,7 +179,7 @@ def rotational_overhead(model: TransferModel) -> float:
 
 def average_seek(schedule: Schedule) -> float:
     """Total seek divided by the number of requests."""
-    n = schedule._served
+    n = len(schedule._tracks)
     if n < 1:
         raise SchedulingError("average seek undefined for an empty schedule")
     try:
@@ -176,8 +197,7 @@ def transfer_time(avg_seek: float, model: TransferModel) -> float:
     return total
 
 
-# A leg of a schedule (see Schedule): seq[i] to seq[j] inclusive, walked up
-# when i <= j and down otherwise.
+# A leg of a schedule (see Schedule): seq[i] to seq[j] inclusive.
 _Leg = tuple[Sequence[Track], int, int]
 
 
@@ -240,41 +260,62 @@ def _joined(parts: list[tuple[Track, ...]]) -> tuple[Track, ...]:
 class Schedule(_Frozen):
     """Result of running one algorithm on one instance.
 
-    ``stops`` is the full head itinerary after ``start`` and ``idle`` holds
-    the indices of the stops that service nothing: the preliminary moves
-    (sweep end points, wrap landings) that cost seek distance without
-    completing a request. Everything else is derived from them on first read
-    and then stored. ``step_seeks`` has one entry per path segment, so
-    ``sum(step_seeks) == total_seek`` and unserviced stops count too.
+    ``stops`` is the full head itinerary after ``start``, in exact ints (see
+    _int), and ``idle`` holds the strictly rising indices of the stops that
+    service nothing: the preliminary moves (sweep end points, wrap landings)
+    that cost seek distance without completing a request. ``step_seeks`` has
+    one entry per path segment, so ``sum(step_seeks) == total_seek`` and
+    unserviced stops count too.
 
-    A scheduler that walks the sorted tracks builds its schedule from legs
-    instead (``_of_legs``). A leg ``(seq, i, j)`` walks the sorted tuple
-    ``seq`` from ``seq[i]`` to ``seq[j]`` inclusive, up when i <= j and down
-    otherwise. A leg over the instance's tracks services them; an idle stop
-    is a one-track leg over a tuple of its own. Then ``stops`` and ``idle``
-    are derived as well, and ``total_seek`` takes O(legs): a leg's tracks are
-    sorted, so it costs |first - previous end| + |last - first|. A
-    legs-built schedule and the one built from its stops and idle compare,
-    hash and print alike.
+    Everything else is derived from legs on first read and then stored. A
+    leg ``(seq, i, j)`` walks ``seq[i]`` to ``seq[j]`` inclusive, up when
+    i <= j and down otherwise. Legs over ``_tracks``, the serviced stops,
+    service requests; each idle stop is a one-track leg of its own. A
+    scheduler that walks the sorted tracks gives its legs instead
+    (``_of_legs``), and ``total_seek`` takes O(legs): a leg of sorted tracks
+    costs |first - previous end| + |last - first|. Equal stops and idle
+    compare, hash and print alike, however the schedule was built.
     """
 
     _fields = ("algorithm", "start", "stops", "idle", "service_order", "preliminary_moves",
                "total_seek")
-    _legs: tuple[_Leg, ...] | None = None  # built from stops
+    _sorted = False  # whether the legs walk sorted tracks, as _of_legs's do
 
     def __init__(
-        self, algorithm: str, start: Track, stops: tuple[Track, ...], idle: tuple[int, ...] = ()
+        self, algorithm: str, start: Track, stops: Iterable[Track], idle: Iterable[int] = ()
     ):
+        start, stops = _int(start), _ints(stops)
+        try:
+            idle = tuple(map(operator.index, idle))
+            rising = all(map(operator.lt, (-1, *idle), (*idle, len(stops))))
+        except TypeError:
+            rising = False
+        if not rising:
+            raise SchedulingError(f"idle indices {_echo(str(idle))} must rise strictly in "
+                                  f"[0, {len(stops)})")
         self.__dict__.update(algorithm=algorithm, start=start, stops=stops, idle=idle)
+
+    @classmethod
+    def _of_stops(cls, algorithm: str, start: Track, stops: tuple[Track, ...]) -> Schedule:
+        """``Schedule(algorithm, start, stops)`` for exact-int ``stops``
+        (FIFO's queue), with no pass over them: they are its one leg."""
+        schedule = cls.__new__(cls)
+        legs = ((stops, 0, len(stops) - 1),) if stops else ()
+        schedule.__dict__.update(
+            algorithm=algorithm, start=start, stops=stops, idle=(), _tracks=stops, _legs=legs
+        )
+        return schedule
 
     @classmethod
     def _of_legs(
         cls, algorithm: str, start: Track, tracks: tuple[Track, ...], legs: tuple[_Leg, ...]
     ) -> Schedule:
-        """The schedule that walks ``legs`` from ``start``; legs over
-        ``tracks`` service requests, all others are idle stops."""
+        """The schedule that walks ``legs`` from ``start``; legs over the
+        sorted ``tracks`` service requests, all others are idle stops."""
         schedule = cls.__new__(cls)
-        schedule.__dict__.update(algorithm=algorithm, start=start, _tracks=tracks, _legs=legs)
+        schedule.__dict__.update(
+            algorithm=algorithm, start=start, _tracks=tracks, _legs=legs, _sorted=True
+        )
         return schedule
 
     @staticmethod
@@ -295,40 +336,37 @@ class Schedule(_Frozen):
         return tuple(idle)
 
     @_derived
-    def _service_runs(self) -> tuple[_Leg, ...]:
-        """The service order as runs ``(seq, i, j)``, in the form of legs:
-        the legs that service requests, or the whole service order as one
-        run when the schedule is built from stops."""
-        if self._legs is None:
-            order = self.service_order
-            return ((order, 0, len(order) - 1),) if order else ()
-        return tuple([leg for leg in self._legs if leg[0] is self._tracks])
+    def _tracks(self) -> tuple[Track, ...]:
+        stops, idle = self.stops, self.idle
+        return _joined([stops[a + 1 : b] for a, b in zip((-1, *idle), (*idle, len(stops)))])
 
     @_derived
-    def _served(self) -> int:
-        """``len(service_order)``, which legs-built is the number of tracks,
-        as the legs service each once."""
-        return len(self.service_order if self._legs is None else self._tracks)
+    def _legs(self) -> tuple[_Leg, ...]:
+        stops, idle = self.stops, self.idle
+        legs: list[_Leg] = []
+        # The k-th run of serviced stops, a + 1 to b - 1, follows k idle stops.
+        for k, (a, b) in enumerate(zip((-1, *idle), (*idle, len(stops)))):
+            if a >= 0:
+                legs.append((stops, a, a))
+            if b - a > 1:
+                legs.append((self._tracks, a + 1 - k, b - 1 - k))
+        return tuple(legs)
 
     @_derived
     def service_order(self) -> tuple[Track, ...]:
-        if self._legs is not None:
-            t = self._tracks  # filtered here: _service_runs costs a read more
-            return _joined([_leg_tracks(*leg) for leg in self._legs if leg[0] is t])
-        service = self.stops
-        for i in reversed(self.idle):
-            service = service[:i] + service[i + 1 :]
-        return service
+        t, parts = self._tracks, []
+        for leg in self._legs:  # a loop: cheaper than a comprehension for a few legs
+            if leg[0] is t:
+                parts.append(_leg_tracks(*leg))
+        return _joined(parts)
 
     @_derived
     def preliminary_moves(self) -> tuple[Track, ...]:
-        if self._legs is not None:
-            return tuple([seq[i] for seq, i, _ in self._legs if seq is not self._tracks])
-        return tuple(self.stops[i] for i in self.idle)
+        return tuple([seq[i] for seq, i, _ in self._legs if seq is not self._tracks])
 
     @_derived
     def total_seek(self) -> int:
-        if self._legs is None:
+        if not self._sorted:
             return sum(self._seeks(self.start, self.stops))
         total, pos = 0, self.start
         for seq, i, j in self._legs:
@@ -342,11 +380,10 @@ class Schedule(_Frozen):
         return tuple(self._seeks(self.start, self.stops))
 
     def _dense_legs(self, per_track: int) -> bool:
-        """Whether the schedule is built from legs whose sorted tracks hold
-        at least ``per_track`` requests per track of their span (see
-        _dense). A schedule built from stops never is: its sequences need
-        not be sorted, so no bisection finds their runs."""
-        t = () if self._legs is None else self._tracks
+        """Whether the legs walk sorted tracks that hold at least
+        ``per_track`` requests per track of their span (see _dense). Legs
+        from stops need not be sorted, so no bisection finds their runs."""
+        t = self._tracks if self._sorted else ()
         return bool(t) and _dense(len(t), t[0], t[-1], per_track)
 
     def _runs(self, per_track: int) -> Iterator[tuple[Track, int]] | None:
@@ -358,28 +395,19 @@ class Schedule(_Frozen):
 
     def head_path(self) -> tuple[Track, ...]:
         """All head positions in order, starting at the initial position."""
-        if self._legs is None or "stops" in self.__dict__:
-            return (self.start,) + self.stops
         # Built in one pass from the legs; ``stops`` is not kept.
         return _joined([(self.start,), *[_leg_tracks(*leg) for leg in self._legs]])
 
 
 class Instance(_Frozen):
-    """A validated (queue, head, geometry) triple. This is the one place that
-    checks tracks: each track and the head become exact ints through
-    ``operator.index`` (a bool or int subclass is converted; a float, str,
-    None or Decimal raises SchedulingError naming the first one), and a
-    track outside the geometry raises OutOfRangeError."""
+    """A validated (queue, head, geometry) triple: each track and the head
+    become exact ints (see _int), and a track outside the geometry raises
+    OutOfRangeError."""
 
     _fields = ("queue", "head", "geometry")
 
     def __init__(self, queue: Sequence[Track], head: Track, geometry: DiskGeometry):
-        given = tuple(queue)  # a generator, too, can be scanned for the bad value
-        try:
-            q, head = tuple(map(operator.index, given)), operator.index(head)
-        except TypeError:
-            bad = next(filter(_refused, (*given, head)))
-            raise SchedulingError(f"expected an integer track, got {_echo(repr(bad))}") from None
+        q, head = _ints(queue), _int(head)
         # The queue's lowest and highest tracks (the head's, when it is
         # empty), kept for the density test of ``tracks``.
         span = (min(q), max(q)) if q else (head, head)
@@ -407,15 +435,6 @@ class Instance(_Frozen):
         for t in sorted(counts):
             tracks += [t] * counts[t]
         return tuple(tracks)
-
-
-def _refused(value) -> bool:
-    """Whether ``operator.index`` refuses ``value``."""
-    try:
-        operator.index(value)
-    except TypeError:
-        return True
-    return False
 
 
 def validate_instance(

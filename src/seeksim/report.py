@@ -160,7 +160,7 @@ def _table_rows(report: ComparisonReport, include_published: bool) -> Iterator[t
     its service order (see ``_order_texts``). The averages of an empty queue
     are undefined, so both are None and display as empty strings."""
     for row in report.rows:
-        avg = average_seek(row) if row._served else None
+        avg = average_seek(row) if row._tracks else None
         transfer = None if avg is None else transfer_time(avg, report.model)
         values = (row.algorithm, row.total_seek, avg, transfer, row,
                   display(avg), display(transfer))
@@ -181,9 +181,9 @@ _SERIES_CHUNK = 4096
 # Below it the runs are too short to pay. CPython 3.11.7 on 2 shared vCPUs,
 # template against runs, 10^5 requests:
 # - one ODSA head path: CSV at 4 per track 9.9 against 42 ms, at 32 8.7
-#   against 8.7, at 550 8.8 against 3.4; JSON, whose template also pays
-#   _json_scalars, breaks even between 20 and 24 per track, and reads 16.8
-#   against 12.3 at 32;
+#   against 8.7, at 550 8.8 against 3.4; JSON breaks even between 20 and 24
+#   per track, and reads 16.8 against 12.3 at 32 (measured while its template
+#   still paid _json_scalars, a type check per chunk, since removed);
 # - one sorted service order: CSV at 8 per track 5.2 against 11.1 ms, at 16
 #   5.0 against 5.9, at 32 5.1 against 3.1, at 550 4.7 against 0.2; JSON at
 #   16 8.2 against 9.7, at 32 9.7 against 5.0, at 550 7.8 against 0.5.
@@ -193,9 +193,9 @@ _DENSE_PER_TRACK = 32
 def _order_texts(
     rows: Sequence[Schedule], render: Callable[[tuple], str], sep: str
 ) -> Iterator[str]:
-    """The text of each row's service order, walked as its service runs (see
-    Schedule): ``render`` turns a tuple of tracks into text, and ``sep``
-    joins two such texts.
+    """The text of each row's service order, walked as its legs over its
+    serviced tracks (see Schedule): ``render`` turns a tuple of tracks into
+    text, and ``sep`` joins two such texts.
 
     Sorted-order rows share stretches of the sorted tracks: SCAN and LOOK
     walk the same legs, C-SCAN the first of them, ODSA's sweep covers both
@@ -211,7 +211,7 @@ def _order_texts(
     O(distinct tracks) calls. Any other piece, a stops-built row's (FIFO's
     arrival order among them) included, is one ``render`` call.
     """
-    orders = [row._service_runs for row in rows]
+    orders = [[leg for leg in row._legs if leg[0] is row._tracks] for row in rows]
     dense = {id(row._tracks) for row in rows if row._dense_legs(_DENSE_PER_TRACK)}
     ends: dict[int, set[int]] = {}
     for runs in orders:
@@ -256,12 +256,14 @@ def _order_texts(
 # comma, a quote or a line break (ints, float reprs, display strings, the
 # published values and DIVERGENCE_NOTE cannot), so only it goes through
 # _csv_cell. The JSON emitters write json.dumps(indent=2)'s layout themselves
-# and send every scalar but a plain int through json.dumps. Both render each
-# bulk int column with one C-level ``%`` call on a template of "%s" slots, not
-# one str() call per int: "%s" is exactly str(), which is also what json.dumps
-# prints for a plain int, and ``%`` needs a tuple, as it takes a list as one
-# argument. A dense head path and a dense service order go run by run
-# instead (see _path_pieces and _order_texts), and print the same bytes.
+# and send every scalar but a track through json.dumps. Every track is an
+# exact int, as Instance, Schedule and DiskGeometry hold them, so both render
+# each bulk track column with one C-level ``%`` call on a template of "%s"
+# slots, not one str() call per int: "%s" is exactly str(), which is also
+# what json.dumps prints for an int, and ``%`` needs a tuple, as it takes a
+# list as one argument. A dense head path and a dense service order go run
+# by run instead (see _path_pieces and _order_texts), and print the same
+# bytes.
 def _csv_cell(text: str) -> str:
     """``text`` as a cell of csv.writer(lineterminator="\\n"); plain names skip it."""
     if not any(c in text for c in ',"\r\n'):
@@ -290,35 +292,18 @@ def _comparison_csv(report: ComparisonReport, include_published: bool) -> Iterat
         yield ",".join(cells) + "\n"
 
 
-def _json_scalars(values: Sequence) -> tuple:
-    """``values`` as ``%`` arguments that print as json.dumps prints them:
-    plain ints as they are, any other scalar (bool, which json.dumps prints
-    as true/false, float, str, None) through json.dumps."""
-    import json  # slow to import; only JSON output needs it
-    return tuple(values) if set(map(type, values)) <= {int} else tuple(map(json.dumps, values))
-
-
-def _json_items(values: Sequence, inner: str) -> str:
-    """The items of a JSON list of scalars, each but the first on a line that
+def _json_items(values: tuple[int, ...], inner: str) -> str:
+    """The items of a JSON list of ints, each but the first on a line that
     ``inner`` (a newline and spaces) opens, with commas between."""
-    return (("%s," + inner) * (len(values) - 1) + "%s") % _json_scalars(values)
-
-
-def _json_list(values: Sequence, indent: str) -> str:
-    """The text of ``json.dumps(list(values), indent=2)`` for a list of
-    scalars whose line ``indent`` (a newline and spaces) opens."""
-    if not values:
-        return "[]"
-    inner = indent + "  "
-    return "[" + inner + _json_items(values, inner) + indent + "]"
+    return (("%s," + inner) * (len(values) - 1) + "%s") % values
 
 
 def _comparison_json(report: ComparisonReport, include_published: bool) -> Iterator[str]:
     import json
     inst, model = report.instance, report.model
     rows = list(_table_rows(report, include_published))  # every metric before any text
-    yield '{\n  "instance": {\n    "head": %s,\n    "queue": ' % json.dumps(inst.head)
-    yield _json_list(inst.queue, "\n    ")
+    yield '{\n  "instance": {\n    "head": %s,\n    "queue": ' % inst.head
+    yield "[\n      " + _json_items(inst.queue, "\n      ") + "\n    ]" if inst.queue else "[]"
     yield (
         ',\n    "geometry": {\n      "min_track": %s,\n      "max_track": %s\n    },'
         '\n    "model": {\n      "bytes_to_transfer": %s,\n      "bytes_per_track": %s,'
@@ -366,25 +351,22 @@ def _add_lines(parts: list[str], lo: int, hi: int, a: str, mid: str, end: str) -
         lo = stop
 
 
-def _path_pieces(
-    s: Schedule, a: str, line: str, scalars: Callable[[Sequence], tuple]
-) -> Iterator[str]:
+def _path_pieces(s: Schedule, a: str, line: str) -> Iterator[str]:
     """``s``'s head path in pieces of at most _SERIES_CHUNK points, each
-    point as ``a`` + its step + ``line % scalars((track,))``.
+    point as ``a`` + its step + ``line % track``.
 
-    A legs-built path whose tracks (exact ints, as an Instance holds them)
-    hold at least _DENSE_PER_TRACK requests per track of their span (10^5 on
-    [0, 180] hold about 550; sparse queues hold far fewer) is written run by
-    run (Schedule._runs): the lines of one run of equal tracks within one
-    block of steps and one piece are one join. Any other path fills one
-    template per piece with one ``%`` call."""
+    A legs-built path whose tracks hold at least _DENSE_PER_TRACK requests
+    per track of their span (10^5 on [0, 180] hold about 550; sparse queues
+    hold far fewer) is written run by run (Schedule._runs): the lines of one
+    run of equal tracks within one block of steps and one piece are one join.
+    Any other path fills one template per piece with one ``%`` call."""
     chunk = _SERIES_CHUNK
     runs = s._runs(_DENSE_PER_TRACK)
     if runs is not None:
         parts: list[str] = []
         step, limit = 0, chunk
         for track, count in runs:
-            end = line % scalars((track,))
+            end = line % track
             mid = end + a
             last = step + count
             while step < last:
@@ -403,13 +385,13 @@ def _path_pieces(
         points = path[step : step + chunk]
         parts = []
         _add_lines(parts, step, step + len(points), a, line + a, line)
-        yield "".join(parts) % scalars(points)
+        yield "".join(parts) % points
 
 
 def _series_csv(schedules: Sequence[Schedule]) -> Iterator[str]:
     yield "algorithm,step,track"  # every line below starts with its line break
     for s in schedules:
-        yield from _path_pieces(s, "\n" + _csv_cell(s.algorithm) + ",", ",%s", tuple)
+        yield from _path_pieces(s, "\n" + _csv_cell(s.algorithm) + ",", ",%s")
     yield "\n"
 
 
@@ -420,8 +402,7 @@ def _series_json(schedules: Sequence[Schedule]) -> Iterator[str]:
     for s in schedules:
         yield (f'{sep}\n    {{\n      "algorithm": {json.dumps(s.algorithm)},'
                '\n      "points": [')
-        pieces = _path_pieces(s, ",\n        [\n          ", ",\n          %s\n        ]",
-                              _json_scalars)
+        pieces = _path_pieces(s, ",\n        [\n          ", ",\n          %s\n        ]")
         yield next(pieces)[1:]  # no comma before the first point
         yield from pieces
         yield "\n      ]\n    }"

@@ -1,13 +1,12 @@
 """The six scheduling algorithms plus an exact optimal-order oracle.
 
 Every scheduler is a pure function mapping a validated Instance to a
-Schedule. FIFO reads the queue in arrival order and lists its stops; every
-other scheduler depends only on the multiset of requests, reads the
-instance's sorted ``tracks``, its head and, for SCAN and C-SCAN, its
-geometry, and records its walk as legs (see Schedule): index ranges of the
-sorted tracks, walked up or down, with each idle stop a one-track leg of its
-own. None copies a track: the schedule derives its stops, service order and
-total from the legs when they are first read. Shared conventions:
+Schedule, and none copies a track. FIFO's stops, and its one leg, are the
+queue in arrival order. Every other scheduler depends only on the multiset
+of requests, reads the instance's sorted ``tracks``, its head and, for SCAN
+and C-SCAN, its geometry, and records its walk as legs (see Schedule): index
+ranges of the sorted tracks, walked up or down, with each idle stop a
+one-track leg of its own. Shared conventions:
 
 - Requests already under the head are serviced first at zero cost and are
   counted on neither side when a sweep direction is chosen.
@@ -34,7 +33,7 @@ ORACLE_MAX_REQUESTS = 2000
 
 def schedule_fifo(instance: Instance) -> Schedule:
     """Service requests in arrival order."""
-    return Schedule("FIFO", instance.head, instance.queue)
+    return Schedule._of_stops("FIFO", instance.head, instance.queue)
 
 
 # A state of the SSTF walk over the sorted tracks t: (lo, hi, pos). The

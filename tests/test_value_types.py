@@ -8,6 +8,7 @@ printed, so any code that logs or compares them sees the same text.
 
 import copy
 import inspect
+import itertools
 import pickle
 from collections import Counter
 from decimal import Decimal
@@ -189,6 +190,25 @@ def test_values_survive_pickle_and_copy(cls, args, field, other, text):
          "expected an integer track, got '2.5'"),
         (lambda: Instance((181,), 45, DiskGeometry()), OutOfRangeError,
          "track(s) '181' outside geometry ['0', '180']"),
+        (lambda: DiskGeometry("a", "b"), SchedulingError,
+         "expected an integer track, got \"'a'\""),
+        (lambda: DiskGeometry(0, None), SchedulingError, "expected an integer track, got 'None'"),
+        (lambda: DiskGeometry(0, float("inf")), SchedulingError,
+         "expected an integer track, got 'inf'"),
+        (lambda: Schedule("X", 0, (10, 20, 2.5)), SchedulingError,
+         "expected an integer track, got '2.5'"),
+        # Idle indices must rise strictly within the stops: out of order,
+        # repeated, negative or past the last stop, they are refused.
+        (lambda: Schedule("X", 0, (10, 20, 30, 40), (2, 0)), SchedulingError,
+         "idle indices '(2, 0)' must rise strictly in [0, 4)"),
+        (lambda: Schedule("X", 0, (10, 20, 30, 40), (1, 1)), SchedulingError,
+         "idle indices '(1, 1)' must rise strictly in [0, 4)"),
+        (lambda: Schedule("X", 0, (10, 20, 30, 40), (-1,)), SchedulingError,
+         "idle indices '(-1,)' must rise strictly in [0, 4)"),
+        (lambda: Schedule("X", 0, (10, 20, 30, 40), (5,)), SchedulingError,
+         "idle indices '(5,)' must rise strictly in [0, 4)"),
+        (lambda: Schedule("X", 0, (10, 20), (1.0,)), SchedulingError,
+         "idle indices '(1.0,)' must rise strictly in [0, 2)"),
     ],
 )
 def test_constructor_errors_keep_class_and_message(make, error, message):
@@ -196,6 +216,15 @@ def test_constructor_errors_keep_class_and_message(make, error, message):
         make()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_stops_built_fields_take_one_pass_over_the_stops():
+    # Every other one of 2 * 10^5 stops is idle. Cutting the idle stops out
+    # one at a time would copy the service order 10^5 times: minutes, where
+    # one pass takes milliseconds.
+    s = Schedule("X", 0, (0, 1) * 10**5, range(1, 2 * 10**5, 2))
+    assert s.service_order == (0,) * 10**5 and s.preliminary_moves == (1,) * 10**5
+    assert s.total_seek == 2 * 10**5 - 1 and average_seek(s) == s.total_seek / 10**5
 
 
 def test_keyword_construction_and_defaults():
@@ -282,13 +311,16 @@ def test_scheduler_output_is_its_stops_built_twin(scheduler):
 @pytest.mark.parametrize("scheduler", SCHEDULERS, ids=lambda f: f.__name__)
 def test_scheduler_output_survives_pickle_and_copy(scheduler):
     twin = _twin(scheduler(SCHEDULED))
-    for read in (False, True):
+    for make, read in itertools.product((scheduler, lambda inst: _twin(scheduler(inst))),
+                                        (None, repr, lambda s: s._legs)):
         # Unread, a schedule carries only what it was built from; read, its
-        # derived fields as well.
-        made = [scheduler(SCHEDULED) for _ in range(3)]
+        # derived fields as well. A twin built from stops whose legs alone
+        # have been read carries them, and tells its idle stops apart by
+        # identity: a clone that lost it would service them.
+        made = [make(SCHEDULED) for _ in range(3)]
         if read:
             for schedule in made:
-                repr(schedule)
+                read(schedule)
         a, b, c = made
         for clone in (pickle.loads(pickle.dumps(a)), copy.copy(b), copy.deepcopy(c)):
             assert clone == twin and hash(clone) == hash(twin) and repr(clone) == repr(twin)
@@ -403,18 +435,27 @@ def test_instances_hold_exact_int_tracks_and_refuse_anything_else(queue, head, b
             head = value
         else:
             queue = queue[:at] + [value] + queue[at:]
-    makes = (lambda: validate_instance(queue, head, geometry),
-             lambda: Instance(iter(queue), head, geometry))
-    for make in makes:
+    # Each maker, and the tracks it holds of those it was given: an
+    # instance's queue and head, a schedule's stops and start, and a
+    # geometry's lower bound, which is the refused value when there is one.
+    low = head if bad is None else value
+    makes = (
+        (lambda: validate_instance(queue, head, geometry), lambda i: (*i.queue, i.head)),
+        (lambda: Instance(iter(queue), head, geometry), lambda i: (*i.queue, i.head)),
+        (lambda: Schedule("X", head, iter(queue)), lambda s: (*s.stops, s.start)),
+    )
+    for make, held in (*makes, (lambda: DiskGeometry(low, 2 * 10**6), lambda g: (g.min_track,))):
         if bad is not None:
             with pytest.raises(SchedulingError) as info:
                 make()
             assert str(info.value) == f"expected an integer track, got {model._echo(repr(value))}"
             continue
-        inst = make()
-        for got, given in zip((*inst.queue, inst.head), (*queue, head), strict=True):
-            assert type(got) is int and got == int(given)
-        assert inst.tracks == tuple(sorted(map(int, queue)))
+        made = make()
+        given = (low,) if isinstance(made, DiskGeometry) else (*queue, head)
+        for got, want in zip(held(made), given, strict=True):
+            assert type(got) is int and got == int(want)
+        if isinstance(made, Instance):
+            assert made.tracks == tuple(sorted(map(int, queue)))
 
 
 @pytest.mark.parametrize("queue, counted", [
