@@ -7,7 +7,8 @@ All types are immutable classes compared by field, not dataclasses, so
 instances are safe to share across threads or processes. A value derived
 from the fields is computed on first read and then stored; two threads that
 read it first at the same time may both compute it, which is harmless, as
-both store equal values.
+both store equal values. A Schedule stores one form however it was built,
+its legs, and derives every field from them.
 """
 
 from __future__ import annotations
@@ -232,18 +233,24 @@ def _dense(n: int, lo: Track, hi: Track, per_track: int) -> bool:
     return n >= per_track * (hi - lo + 1)
 
 
-# Instance.tracks counting-sorts a queue with at least _COUNT_SORT_PER_TRACK
-# requests per track of its span, unless its tracks lie fewer than
-# _COUNT_SORT_MIN_SPAN apart. CPython 3.11.7 on 2 shared vCPUs, sorted()
-# against counting:
+# Instance.tracks counting-sorts a queue of at least _COUNT_SORT_MIN_REQUESTS
+# with at least _COUNT_SORT_PER_TRACK requests per track of its span, unless
+# its tracks lie fewer than _COUNT_SORT_MIN_SPAN apart. CPython 3.11.7 on 2
+# shared vCPUs, sorted() against counting:
 # - 10^5 uniform requests: at 1 per track 25 against 30 ms, at 2 22 against
 #   21, at 4 19 against 16, at 32 17 against 7, at 550 12 against 4; so
 #   counting breaks even between 2 and 4 per track;
 # - on few tracks timsort needs about one pass: 10^5 requests on 1 track 1.0
 #   against 4.1 ms, on 2 3.4 against 4.1, on 8 5.9 against 3.8; and a short
-#   queue pays Counter's set-up: 8 requests on 1 track 0.2 against 1.5 us.
+#   queue pays Counter's set-up: 8 requests on 1 track 0.2 against 1.5 us;
+# - so do short dense queues, Instance build included: at 4 per track 36
+#   requests 4.6 against 8.5 us, 2048 272 against 290, 8192 1348 against
+#   1251; at 8 to 550 per track 768 requests 65-82 against 67-84 us, 1024
+#   97-113 against 90-111, 2048 234-265 against 167-209; so counting breaks
+#   even between 768 and 1024 requests.
 _COUNT_SORT_PER_TRACK = 4
 _COUNT_SORT_MIN_SPAN = 8
+_COUNT_SORT_MIN_REQUESTS = 1024
 
 
 def _joined(parts: list[tuple[Track, ...]]) -> tuple[Track, ...]:
@@ -258,28 +265,30 @@ def _joined(parts: list[tuple[Track, ...]]) -> tuple[Track, ...]:
 
 
 class Schedule(_Frozen):
-    """Result of running one algorithm on one instance.
+    """Result of running one algorithm on one instance, stored as legs.
 
-    ``stops`` is the full head itinerary after ``start``, in exact ints (see
-    _int), and ``idle`` holds the strictly rising indices of the stops that
-    service nothing: the preliminary moves (sweep end points, wrap landings)
-    that cost seek distance without completing a request. ``step_seeks`` has
-    one entry per path segment, so ``sum(step_seeks) == total_seek`` and
-    unserviced stops count too.
+    A leg ``(seq, i, j)`` walks ``seq[i]`` to ``seq[j]`` inclusive, up when
+    i <= j and down otherwise. Legs over ``_tracks``, the serviced tracks,
+    service requests. Each idle stop, a preliminary move (sweep end point,
+    wrap landing) that costs seek distance without completing a request, is
+    a one-track leg over a one-tuple of its own. Every schedule stores only
+    ``algorithm``, ``start``, ``_tracks`` and ``_legs``, plus ``_sorted``
+    when a scheduler gives its legs (``_of_legs``); ``Schedule(algorithm,
+    start, stops, idle)`` builds them as it validates its stops.
 
-    Everything else is derived from legs on first read and then stored. A
-    leg ``(seq, i, j)`` walks ``seq[i]`` to ``seq[j]`` inclusive, up when
-    i <= j and down otherwise. Legs over ``_tracks``, the serviced stops,
-    service requests; each idle stop is a one-track leg of its own. A
-    scheduler that walks the sorted tracks gives its legs instead
-    (``_of_legs``), and ``total_seek`` takes O(legs): a leg of sorted tracks
-    costs |first - previous end| + |last - first|. Equal stops and idle
-    compare, hash and print alike, however the schedule was built.
+    Every other field is derived from the legs on first read and then
+    stored: ``stops``, the full head itinerary after ``start`` in exact ints
+    (see _int), ``idle``, the strictly rising indices of the idle stops, and
+    the rest. ``step_seeks`` has one entry per path segment, so
+    ``sum(step_seeks) == total_seek`` and idle stops count too. On sorted
+    ``_tracks``, ``total_seek`` takes O(legs): a leg costs
+    |first - previous end| + |last - first|. Equal stops and idle compare,
+    hash and print alike, however the schedule was built.
     """
 
     _fields = ("algorithm", "start", "stops", "idle", "service_order", "preliminary_moves",
                "total_seek")
-    _sorted = False  # whether the legs walk sorted tracks, as _of_legs's do
+    _sorted = False  # whether _tracks ascend; _of_legs stores it
 
     def __init__(
         self, algorithm: str, start: Track, stops: Iterable[Track], idle: Iterable[int] = ()
@@ -293,28 +302,28 @@ class Schedule(_Frozen):
         if not rising:
             raise SchedulingError(f"idle indices {_echo(str(idle))} must rise strictly in "
                                   f"[0, {len(stops)})")
-        self.__dict__.update(algorithm=algorithm, start=start, stops=stops, idle=idle)
-
-    @classmethod
-    def _of_stops(cls, algorithm: str, start: Track, stops: tuple[Track, ...]) -> Schedule:
-        """``Schedule(algorithm, start, stops)`` for exact-int ``stops``
-        (FIFO's queue), with no pass over them: they are its one leg."""
-        schedule = cls.__new__(cls)
-        legs = ((stops, 0, len(stops) - 1),) if stops else ()
-        schedule.__dict__.update(
-            algorithm=algorithm, start=start, stops=stops, idle=(), _tracks=stops, _legs=legs
-        )
-        return schedule
+        bounds = list(zip((-1, *idle), (*idle, len(stops))))
+        tracks = _joined([stops[a + 1 : b] for a, b in bounds])
+        legs: list[_Leg] = []
+        # The k-th run of serviced stops, a + 1 to b - 1, follows k idle stops.
+        for k, (a, b) in enumerate(bounds):
+            if a >= 0:
+                legs.append(((stops[a],), 0, 0))
+            if b - a > 1:
+                legs.append((tracks, a + 1 - k, b - 1 - k))
+        self.__dict__.update(algorithm=algorithm, start=start, _tracks=tracks, _legs=tuple(legs))
 
     @classmethod
     def _of_legs(
-        cls, algorithm: str, start: Track, tracks: tuple[Track, ...], legs: tuple[_Leg, ...]
+        cls, algorithm: str, start: Track, tracks: tuple[Track, ...], legs: tuple[_Leg, ...],
+        ascending: bool = True,
     ) -> Schedule:
-        """The schedule that walks ``legs`` from ``start``; legs over the
-        sorted ``tracks`` service requests, all others are idle stops."""
+        """The schedule that walks ``legs`` from ``start``; legs over
+        ``tracks`` (sorted if ``ascending``) service requests, all others
+        are idle stops."""
         schedule = cls.__new__(cls)
         schedule.__dict__.update(
-            algorithm=algorithm, start=start, _tracks=tracks, _legs=legs, _sorted=True
+            algorithm=algorithm, start=start, _tracks=tracks, _legs=legs, _sorted=ascending
         )
         return schedule
 
@@ -334,23 +343,6 @@ class Schedule(_Frozen):
                 idle.append(at)
             at += abs(j - i) + 1
         return tuple(idle)
-
-    @_derived
-    def _tracks(self) -> tuple[Track, ...]:
-        stops, idle = self.stops, self.idle
-        return _joined([stops[a + 1 : b] for a, b in zip((-1, *idle), (*idle, len(stops)))])
-
-    @_derived
-    def _legs(self) -> tuple[_Leg, ...]:
-        stops, idle = self.stops, self.idle
-        legs: list[_Leg] = []
-        # The k-th run of serviced stops, a + 1 to b - 1, follows k idle stops.
-        for k, (a, b) in enumerate(zip((-1, *idle), (*idle, len(stops)))):
-            if a >= 0:
-                legs.append((stops, a, a))
-            if b - a > 1:
-                legs.append((self._tracks, a + 1 - k, b - 1 - k))
-        return tuple(legs)
 
     @_derived
     def service_order(self) -> tuple[Track, ...]:
@@ -381,8 +373,9 @@ class Schedule(_Frozen):
 
     def _dense_legs(self, per_track: int) -> bool:
         """Whether the legs walk sorted tracks that hold at least
-        ``per_track`` requests per track of their span (see _dense). Legs
-        from stops need not be sorted, so no bisection finds their runs."""
+        ``per_track`` requests per track of their span (see _dense). FIFO's
+        tracks, and those of ``Schedule(...)``, need not be sorted, so no
+        bisection finds their runs."""
         t = self._tracks if self._sorted else ()
         return bool(t) and _dense(len(t), t[0], t[-1], per_track)
 
@@ -422,13 +415,13 @@ class Instance(_Frozen):
     @_derived
     def tracks(self) -> tuple[Track, ...]:
         """The queue in ascending order, sorted once per instance. Every
-        scheduler but FIFO depends only on this multiset. A queue with at
-        least _COUNT_SORT_PER_TRACK requests per track of its span, on
-        tracks at least _COUNT_SORT_MIN_SPAN apart, is counting-sorted in
-        O(n + span): each distinct track, in order, repeated by its count.
-        Any other is sorted by comparison."""
+        scheduler but FIFO depends only on this multiset. A queue that meets
+        the three _COUNT_SORT_* thresholds (see their comment) is
+        counting-sorted in O(n + span): each distinct track, in order,
+        repeated by its count. Any other is sorted by comparison."""
         q, (lo, hi) = self.queue, self._span
-        if hi - lo < _COUNT_SORT_MIN_SPAN or not _dense(len(q), lo, hi, _COUNT_SORT_PER_TRACK):
+        if (len(q) < _COUNT_SORT_MIN_REQUESTS or hi - lo < _COUNT_SORT_MIN_SPAN
+                or not _dense(len(q), lo, hi, _COUNT_SORT_PER_TRACK)):
             return tuple(sorted(q))
         counts = Counter(q)
         tracks: list[Track] = []

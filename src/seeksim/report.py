@@ -205,11 +205,11 @@ def _order_texts(
     per report. Keys hold the sequences' ids, which stay unique while the
     rows hold the sequences.
 
-    A piece of the sorted tracks of a legs-built row that holds at least
-    _DENSE_PER_TRACK requests per track of their span is rendered run by
-    run, ``(render((track,)) + sep) * count`` per run of equal tracks, in
-    O(distinct tracks) calls. Any other piece, a stops-built row's (FIFO's
-    arrival order among them) included, is one ``render`` call.
+    A piece of a row's sorted tracks that hold at least _DENSE_PER_TRACK
+    requests per track of their span is rendered run by run,
+    ``(render((track,)) + sep) * count`` per run of equal tracks, in
+    O(distinct tracks) calls. Any other piece, unsorted ones (FIFO's or a
+    ``Schedule(...)``'s) included, is one ``render`` call.
     """
     orders = [[leg for leg in row._legs if leg[0] is row._tracks] for row in rows]
     dense = {id(row._tracks) for row in rows if row._dense_legs(_DENSE_PER_TRACK)}

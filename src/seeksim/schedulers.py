@@ -1,12 +1,12 @@
 """The six scheduling algorithms plus an exact optimal-order oracle.
 
 Every scheduler is a pure function mapping a validated Instance to a
-Schedule, and none copies a track. FIFO's stops, and its one leg, are the
-queue in arrival order. Every other scheduler depends only on the multiset
-of requests, reads the instance's sorted ``tracks``, its head and, for SCAN
-and C-SCAN, its geometry, and records its walk as legs (see Schedule): index
-ranges of the sorted tracks, walked up or down, with each idle stop a
-one-track leg of its own. Shared conventions:
+Schedule, records its walk as legs (see Schedule) and copies no track.
+FIFO's one leg walks the queue in arrival order; its stops are the queue.
+Every other scheduler depends only on the multiset of requests, reads the
+instance's sorted ``tracks``, its head and, for SCAN and C-SCAN, its
+geometry; its legs are index ranges of the sorted tracks, walked up or
+down, with each idle stop a one-track leg of its own. Shared conventions:
 
 - Requests already under the head are serviced first at zero cost and are
   counted on neither side when a sweep direction is chosen.
@@ -32,8 +32,10 @@ ORACLE_MAX_REQUESTS = 2000
 
 
 def schedule_fifo(instance: Instance) -> Schedule:
-    """Service requests in arrival order."""
-    return Schedule._of_stops("FIFO", instance.head, instance.queue)
+    """Service requests in arrival order: one leg over the queue, unsorted."""
+    q = instance.queue
+    legs = ((q, 0, len(q) - 1),) if q else ()
+    return Schedule._of_legs("FIFO", instance.head, q, legs, ascending=False)
 
 
 # A state of the SSTF walk over the sorted tracks t: (lo, hi, pos). The

@@ -237,6 +237,7 @@ def test_small_scope_exhaustively(monkeypatch):
     monkeypatch.setattr(report, "_DENSE_PER_TRACK", 0)
     monkeypatch.setattr(model, "_COUNT_SORT_PER_TRACK", 0)
     monkeypatch.setattr(model, "_COUNT_SORT_MIN_SPAN", 0)
+    monkeypatch.setattr(model, "_COUNT_SORT_MIN_REQUESTS", 0)
     names = (*ALGORITHM_ORDER, ORACLE_NAME)
     for n in range(SCOPE_K + 1):
         for queue in combinations_with_replacement(SCOPE_TRACKS, n):

@@ -257,25 +257,42 @@ def test_step_seeks_is_computed_once(monkeypatch):
 DERIVED = ("service_order", "preliminary_moves", "total_seek", "step_seeks")
 
 
+# What ``Schedule(...)`` stores before any read: its legs over its serviced
+# tracks. A scheduler's schedule stores ``_sorted`` too: whether they ascend.
+STORED = {"algorithm", "start", "_tracks", "_legs"}
+
+
+def _assert_legs_well_formed(schedule):
+    """Each leg's ends lie inside the sequence it walks, and a leg over any
+    sequence but the serviced tracks is one idle stop."""
+    for seq, i, j in schedule._legs:
+        assert 0 <= i < len(seq) and 0 <= j < len(seq)
+        assert seq is schedule._tracks or len(seq) == 1
+
+
 @st.composite
 def _schedules(draw):
-    """(start, stops, idle, the derived fields in a drawn read order)."""
+    """(start, stops, idle, the fields derived from legs in a drawn read order)."""
     tracks = st.integers(-10**6, 10**6)
     stops = tuple(draw(st.lists(tracks, max_size=12)))
     idle = tuple(sorted(draw(st.sets(st.integers(0, len(stops) - 1)) if stops else st.just(()))))
-    return draw(tracks), stops, idle, draw(st.permutations(DERIVED))
+    return draw(tracks), stops, idle, draw(st.permutations(("stops", "idle", *DERIVED)))
 
 
 @given(_schedules())
-@example((45, (25, 10, 0, 151), (2,), DERIVED))
+@example((45, (25, 10, 0, 151), (2,), ("stops", "idle", *DERIVED)))
 @example((45, (25, 10, 151), (), DERIVED[::-1]))
+@example((45, (25, 25, 25), (0, 2), ("idle", *DERIVED)))
 @example((5, (), (), DERIVED))
 def test_derived_fields_match_the_eager_formulas(drawn):
     start, stops, idle, order = drawn
     schedule = Schedule("SCAN", start, stops, idle)
-    assert set(schedule.__dict__) == {"algorithm", "start", "stops", "idle"}
+    assert set(schedule.__dict__) == STORED
+    _assert_legs_well_formed(schedule)
     path = (start, *stops)
     expected = {
+        "stops": stops,
+        "idle": idle,
         "service_order": tuple(t for i, t in enumerate(stops) if i not in idle),
         "preliminary_moves": tuple(stops[i] for i in idle),
         "total_seek": sum(abs(b - a) for a, b in zip(path, path[1:])),
@@ -312,11 +329,11 @@ def test_scheduler_output_is_its_stops_built_twin(scheduler):
 def test_scheduler_output_survives_pickle_and_copy(scheduler):
     twin = _twin(scheduler(SCHEDULED))
     for make, read in itertools.product((scheduler, lambda inst: _twin(scheduler(inst))),
-                                        (None, repr, lambda s: s._legs)):
-        # Unread, a schedule carries only what it was built from; read, its
-        # derived fields as well. A twin built from stops whose legs alone
-        # have been read carries them, and tells its idle stops apart by
-        # identity: a clone that lost it would service them.
+                                        (None, repr, lambda s: s.stops)):
+        # Unread, a schedule carries only its legs; read, its derived fields
+        # as well, or its stops alone beside the legs. Legs over its tracks
+        # are told from idle stops by identity: a clone that lost it would
+        # service them.
         made = [make(SCHEDULED) for _ in range(3)]
         if read:
             for schedule in made:
@@ -337,12 +354,13 @@ def _scheduled(draw):
     inside = st.integers(geometry.min_track, geometry.max_track)
     instance = validate_instance(draw(st.lists(inside, max_size=10)), draw(inside), geometry)
     order = draw(st.permutations(("stops", "idle", *DERIVED, "head_path")))
-    return draw(st.sampled_from(SCHEDULERS[1:])), instance, order
+    return draw(st.sampled_from(SCHEDULERS)), instance, order
 
 
 @given(_scheduled())
 @example((schedule_cscan, validate_instance((25, 10, 151), 45), ("head_path",) + DERIVED))
 @example((schedule_scan, validate_instance((), 45), ("total_seek", "stops")))
+@example((schedule_fifo, validate_instance((25, 10, 151), 45), ("total_seek", "stops")))
 def test_legs_built_fields_match_the_eager_formulas(drawn):
     scheduler, instance, order = drawn
     stops, idle = scheduler(instance).stops, scheduler(instance).idle
@@ -357,7 +375,9 @@ def test_legs_built_fields_match_the_eager_formulas(drawn):
         "head_path": path,
     }
     schedule = scheduler(instance)
-    assert not expected.keys() & schedule.__dict__.keys()
+    assert set(schedule.__dict__) == STORED | {"_sorted"}
+    assert schedule._sorted is (scheduler is not schedule_fifo)
+    _assert_legs_well_formed(schedule)
     for name in order:
         if name == "head_path":
             assert schedule.head_path() == path
@@ -377,8 +397,8 @@ def test_head_paths_leave_the_derived_fields_unread():
     assert len(report.rows) == 6
     for row in report.rows:
         assert not {"total_seek", "service_order", "preliminary_moves"} & row.__dict__.keys()
-        # A legs-built path is made from the legs, and its stops are not kept.
-        assert row.algorithm == "FIFO" or not {"stops", "idle"} & row.__dict__.keys()
+        # A path is made from the legs, and its stops are not kept.
+        assert not {"stops", "idle"} & row.__dict__.keys()
 
 
 def test_tracks_are_sorted_once(monkeypatch):
@@ -458,21 +478,27 @@ def test_instances_hold_exact_int_tracks_and_refuse_anything_else(queue, head, b
             assert made.tracks == tuple(sorted(map(int, queue)))
 
 
-@pytest.mark.parametrize("queue, counted", [
-    # Tracks 3 to 11, each drawn in turn: a span of 9 tracks, counting-sorted
-    # from _COUNT_SORT_PER_TRACK requests per track on.
-    ([3 + i * 4 % 9 for i in range(9 * model._COUNT_SORT_PER_TRACK)][::-1], True),
-    ([3 + i * 4 % 9 for i in range(9 * model._COUNT_SORT_PER_TRACK - 1)][::-1], False),
+@pytest.mark.parametrize("span, n, counted", [
+    # Tracks 3 to 11 lie _COUNT_SORT_MIN_SPAN apart; a dense queue on them is
+    # counting-sorted from _COUNT_SORT_MIN_REQUESTS requests on.
+    (9, model._COUNT_SORT_MIN_REQUESTS, True),
+    (9, model._COUNT_SORT_MIN_REQUESTS - 1, False),
+    # 300 tracks, counting-sorted from _COUNT_SORT_PER_TRACK requests per
+    # track on (both counts above _COUNT_SORT_MIN_REQUESTS).
+    (300, 300 * model._COUNT_SORT_PER_TRACK, True),
+    (300, 300 * model._COUNT_SORT_PER_TRACK - 1, False),
     # Tracks 3 to 10 lie 7 apart, fewer than _COUNT_SORT_MIN_SPAN.
-    ([3 + i * 3 % 8 for i in range(800)][::-1], False),
+    (8, 2 * model._COUNT_SORT_MIN_REQUESTS, False),
 ])
 def test_tracks_sort_the_queue_on_either_side_of_the_counting_sort_thresholds(
-    monkeypatch, queue, counted
+    monkeypatch, span, n, counted
 ):
-    assert max(queue) - min(queue) + 1 in (8, 9) and len(set(queue)) in (8, 9)
+    # Tracks 3 to 2 + span, each drawn in turn (7 is prime to every span).
+    queue = [3 + i * 7 % span for i in range(n)][::-1]
+    assert set(queue) == set(range(3, 3 + span))
     calls = []
     monkeypatch.setattr(model, "Counter", lambda q: calls.append(q) or Counter(q))
-    assert validate_instance(queue, 0).tracks == tuple(sorted(queue))
+    assert validate_instance(queue, 0, DiskGeometry(0, 400)).tracks == tuple(sorted(queue))
     assert bool(calls) == counted
 
 
