@@ -6,7 +6,8 @@ Subcommands:
   gen     emit a seeded random request file
   verify  run the randomized oracle campaign
 
-Exit codes: 0 success, 1 campaign failure, 2 invalid input, 141 stdout closed early.
+Exit codes: 0 success, 1 campaign failure, 2 invalid input or a failed write,
+141 stdout closed early.
 """
 
 from __future__ import annotations
@@ -248,6 +249,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # With fd 1 closed at start, Python leaves sys.stdout None. A read-only
+    # stand-in makes a write fail as any failed write does (exit 2).
+    if sys.stdout is None:
+        sys.stdout = open(os.open(os.devnull, os.O_RDONLY), closefd=False)
     try:
         code = {"run": _cmd_run, "gen": _cmd_gen, "verify": _cmd_verify}[args.command](args)
         sys.stdout.flush()  # a reader gone before the last write fails here, not at exit

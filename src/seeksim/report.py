@@ -132,22 +132,19 @@ _PLACES = 5
 
 
 def display(value: float | None) -> str:
-    """Table rendering of a metric: truncated toward zero at ``_PLACES``
-    decimals, trailing zeros dropped.
+    """Table rendering of a metric: its repr's exact decimal value in full,
+    truncated toward zero at ``_PLACES`` decimals, trailing zeros dropped.
+    Non-finite values print as Decimal names them: Infinity, -Infinity, NaN.
 
     Truncation (not rounding) matches how the reference tables print the
     rotational overhead: 24.3869171... appears as 24.38691.
     """
     if value is None:
         return ""
-    from decimal import ROUND_DOWN, Context, Decimal  # slow to import; only tables need it
-    exact = Decimal(repr(value))
-    # Enough significant digits for every integer digit of a large value.
-    context = Context(prec=max(exact.adjusted(), 0) + 1 + _PLACES)
-    text = str(exact.quantize(Decimal(1).scaleb(-_PLACES), ROUND_DOWN, context))
-    if "." in text:
-        text = text.rstrip("0").rstrip(".")
-    return text
+    from decimal import Decimal  # slow to import; only tables need it
+    whole, _, fraction = format(Decimal(repr(value)), "f").partition(".")
+    fraction = fraction[:_PLACES].rstrip("0")
+    return f"{whole}.{fraction}" if fraction else whole
 
 
 _COLUMNS = ("algorithm", "total_seek", "average_seek", "transfer_time", "service_order",
@@ -156,14 +153,13 @@ _PUBLISHED_COLUMNS = _COLUMNS + ("published_average_seek", "published_transfer_t
 
 
 def _table_rows(report: ComparisonReport, include_published: bool) -> Iterator[tuple]:
-    """Each row's values in column order, with the row itself in place of
-    its service order (see ``_order_texts``). The averages of an empty queue
-    are undefined, so both are None and display as empty strings."""
+    """Each row's metric values in column order, its service order left out:
+    the emitters write that column from ``_order_texts``. The averages of an
+    empty queue are undefined, so both are None and display as empty strings."""
     for row in report.rows:
         avg = average_seek(row) if row._tracks else None
         transfer = None if avg is None else transfer_time(avg, report.model)
-        values = (row.algorithm, row.total_seek, avg, transfer, row,
-                  display(avg), display(transfer))
+        values = (row.algorithm, row.total_seek, avg, transfer, display(avg), display(transfer))
         if include_published:
             pub_avg, pub_transfer = PUBLISHED_TABLES[report.case_id].get(row.algorithm, ("", ""))
             diverges = avg is not None and pub_avg != "" and float(pub_avg) != avg
@@ -190,12 +186,15 @@ _SERIES_CHUNK = 4096
 _DENSE_PER_TRACK = 32
 
 
-def _order_texts(
-    rows: Sequence[Schedule], render: Callable[[tuple], str], sep: str
-) -> Iterator[str]:
-    """The text of each row's service order, walked as its legs over its
-    serviced tracks (see Schedule): ``render`` turns a tuple of tracks into
-    text, and ``sep`` joins two such texts.
+def _items(values: tuple[int, ...], sep: str) -> str:
+    """The ints ``values`` with ``sep`` between each two, in one ``%`` call.
+    Callers pass a non-empty tuple and a fixed ``sep`` with no ``%`` in it."""
+    return (("%s" + sep) * (len(values) - 1) + "%s") % values
+
+
+def _order_texts(rows: Sequence[Schedule], sep: str) -> Iterator[str]:
+    """The text of each row's service order, its tracks joined by ``sep``,
+    walked as its legs over its serviced tracks (see Schedule).
 
     Sorted-order rows share stretches of the sorted tracks: SCAN and LOOK
     walk the same legs, C-SCAN the first of them, ODSA's sweep covers both
@@ -207,9 +206,9 @@ def _order_texts(
 
     A piece of a row's sorted tracks that hold at least _DENSE_PER_TRACK
     requests per track of their span is rendered run by run,
-    ``(render((track,)) + sep) * count`` per run of equal tracks, in
-    O(distinct tracks) calls. Any other piece, unsorted ones (FIFO's or a
-    ``Schedule(...)``'s) included, is one ``render`` call.
+    ``(str(track) + sep) * count`` per run of equal tracks, in O(distinct
+    tracks) steps. Any other piece, unsorted ones (FIFO's or a
+    ``Schedule(...)``'s) included, is one ``_items`` call.
     """
     orders = [[leg for leg in row._legs if leg[0] is row._tracks] for row in rows]
     dense = {id(row._tracks) for row in rows if row._dense_legs(_DENSE_PER_TRACK)}
@@ -239,11 +238,11 @@ def _order_texts(
             if text is None:
                 leg = (seq, a, b - 1) if a < b else (seq, a - 1, b)
                 if id(seq) in dense:
-                    runs = [(render((t,)) + sep) * k for t, k in _leg_runs(*leg)]
+                    runs = [(str(t) + sep) * k for t, k in _leg_runs(*leg)]
                     runs[-1] = runs[-1][: -len(sep)]  # cut in the last run, not a copy of all
                     text = "".join(runs)
                 else:
-                    text = render(tuple(_leg_tracks(*leg)))
+                    text = _items(tuple(_leg_tracks(*leg)), sep)
                 texts[key] = text
             uses[key] -= 1
             if not uses[key]:
@@ -259,11 +258,11 @@ def _order_texts(
 # and send every scalar but a track through json.dumps. Every track is an
 # exact int, as Instance, Schedule and DiskGeometry hold them, so both render
 # each bulk track column with one C-level ``%`` call on a template of "%s"
-# slots, not one str() call per int: "%s" is exactly str(), which is also
-# what json.dumps prints for an int, and ``%`` needs a tuple, as it takes a
-# list as one argument. A dense head path and a dense service order go run
-# by run instead (see _path_pieces and _order_texts), and print the same
-# bytes.
+# slots (_items for an int list), not one str() call per int: "%s" is exactly
+# str(), which is also what json.dumps prints for an int, and ``%`` needs a
+# tuple, as it takes a list as one argument. A dense head path and a dense
+# service order go run by run instead (see _path_pieces and _order_texts),
+# and print the same bytes.
 def _csv_cell(text: str) -> str:
     """``text`` as a cell of csv.writer(lineterminator="\\n"); plain names skip it."""
     if not any(c in text for c in ',"\r\n'):
@@ -278,9 +277,7 @@ def _csv_cell(text: str) -> str:
 def _comparison_csv(report: ComparisonReport, include_published: bool) -> Iterator[str]:
     rows = list(_table_rows(report, include_published))  # every metric before any text
     yield ",".join(_PUBLISHED_COLUMNS if include_published else _COLUMNS) + "\n"
-    orders = _order_texts([row[4] for row in rows], lambda run: ("%s;" * len(run) % run)[:-1],
-                          ";")
-    for (name, total, avg, transfer, _, *text), order in zip(rows, orders):
+    for (name, total, avg, transfer, *text), order in zip(rows, _order_texts(report.rows, ";")):
         cells = [
             _csv_cell(name),
             str(total),
@@ -292,18 +289,12 @@ def _comparison_csv(report: ComparisonReport, include_published: bool) -> Iterat
         yield ",".join(cells) + "\n"
 
 
-def _json_items(values: tuple[int, ...], inner: str) -> str:
-    """The items of a JSON list of ints, each but the first on a line that
-    ``inner`` (a newline and spaces) opens, with commas between."""
-    return (("%s," + inner) * (len(values) - 1) + "%s") % values
-
-
 def _comparison_json(report: ComparisonReport, include_published: bool) -> Iterator[str]:
     import json
     inst, model = report.instance, report.model
     rows = list(_table_rows(report, include_published))  # every metric before any text
     yield '{\n  "instance": {\n    "head": %s,\n    "queue": ' % inst.head
-    yield "[\n      " + _json_items(inst.queue, "\n      ") + "\n    ]" if inst.queue else "[]"
+    yield "[\n      " + _items(inst.queue, ",\n      ") + "\n    ]" if inst.queue else "[]"
     yield (
         ',\n    "geometry": {\n      "min_track": %s,\n      "max_track": %s\n    },'
         '\n    "model": {\n      "bytes_to_transfer": %s,\n      "bytes_per_track": %s,'
@@ -315,11 +306,9 @@ def _comparison_json(report: ComparisonReport, include_published: bool) -> Itera
     columns = _PUBLISHED_COLUMNS if include_published else _COLUMNS
     template = "%s\n    {\n      " + ",\n      ".join(f'"{c}": %s' for c in columns) + "\n    }"
     sep = "["
-    inner = "\n        "
-    orders = _order_texts([row[4] for row in rows], lambda run: _json_items(run, inner),
-                          "," + inner)
-    for (name, total, avg, transfer, _, *text), order in zip(rows, orders):
-        order = "[" + inner + order + "\n      ]" if order else "[]"
+    orders = _order_texts(report.rows, ",\n        ")
+    for (name, total, avg, transfer, *text), order in zip(rows, orders):
+        order = "[\n        " + order + "\n      ]" if order else "[]"
         yield template % (sep, *map(json.dumps, (name, total, avg, transfer)), order,
                           *map(json.dumps, text))
         sep = ","

@@ -394,6 +394,25 @@ def test_gen_reader_that_closes_early_gets_exit_141_unbuffered():
         assert proc.stderr.read() == b""
 
 
+@pytest.mark.parametrize("argv", [["run", "--case", "1"], ["verify", "--trials", "3"],
+                                  ["gen", "--count", "3"]])
+def test_closed_stdout_exits_2_with_one_error_line(argv):
+    # The shell closes fd 1 before Python starts, so sys.stdout starts as None.
+    script = 'exec "$0" -m seeksim "$@" >&-'
+    proc = subprocess.run(["/bin/sh", "-c", script, sys.executable, *argv],
+                          capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, b"error: not writable\n")
+
+
+def test_gen_to_a_file_with_stdout_closed_exits_0(tmp_path, capsys):
+    path = tmp_path / "gen.txt"
+    script = 'exec "$0" -m seeksim gen --count 3 --seed 5 -o "$1" >&-'
+    proc = subprocess.run(["/bin/sh", "-c", script, sys.executable, str(path)],
+                          capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert run_cli(capsys, "gen", "--count", "3", "--seed", "5") == (0, path.read_text(), "")
+
+
 class _Pieces(io.StringIO):
     """A stdout that keeps every piece written to it."""
 

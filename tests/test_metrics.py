@@ -1,7 +1,9 @@
+import math
+from decimal import ROUND_DOWN, Context, Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seeksim.model import (
@@ -100,6 +102,41 @@ def test_display_strips_trailing_zeros():
     assert display(48.0) == "48"
     assert display(35.625) == "35.625"
     assert display(None) == ""
+
+
+def _quantized_display(value):
+    """``display`` as a Decimal quantize: toward zero at 5 places, in a
+    context with a digit for every integer digit of the value."""
+    exact = Decimal(repr(value))
+    context = Context(prec=max(exact.adjusted(), 0) + 1 + 5)
+    text = str(exact.quantize(Decimal(1).scaleb(-5), ROUND_DOWN, context))
+    if "." in text:
+        text = text.rstrip("0").rstrip(".")
+    return text
+
+
+# Every finite float: subnormals, reprs with exponents and values near the
+# float maximum, plus the metric range the tables print.
+@settings(max_examples=500)
+@given(st.floats(allow_nan=False, allow_infinity=False)
+       | st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+@example(5e-324)
+@example(-2.2250738585072014e-308)
+@example(1.7976931348623157e308)
+@example(1e-05)
+@example(-1e-10)
+@example(-0.0)
+@example(1.2345678901234569e23)
+@example(99999.999999)
+@example(48.011917162698413)
+def test_display_matches_a_quantize_toward_zero(value):
+    assert display(value) == _quantized_display(value)
+
+
+def test_display_names_non_finite_values():
+    assert display(math.inf) == "Infinity"
+    assert display(-math.inf) == "-Infinity"
+    assert display(math.nan) == "NaN"
 
 
 @given(st.floats(min_value=0, max_value=1000, allow_nan=False))

@@ -708,23 +708,25 @@ class _Text(str):
     """A rendered text that a weak reference can follow."""
 
 
-def test_order_texts_render_each_piece_once_and_keep_none_past_its_last_use():
+def test_order_texts_render_each_piece_once_and_keep_none_past_its_last_use(monkeypatch):
     t = tuple(range(100, 110))
     # Runs cut at 0, 4 and 10: up [0, 4), up [4, 10) and down [4, 0).
     legs = [((t, 0, 9),), ((t, 4, 9), (t, 3, 0)), ((t, 3, 0),)]
     rows = [Schedule._of_legs("X", 100, t, row) for row in legs]
     rendered = []
+    items = report_module._items
 
-    def render(run):
-        text = _Text(",".join(map(str, run)))
-        rendered.append((run, weakref.ref(text)))
+    def recording_items(values, sep):
+        text = _Text(items(values, sep))
+        rendered.append((values, weakref.ref(text)))
         return text
 
-    texts = report_module._order_texts(rows, render, ";")
-    assert next(texts) == "100,101,102,103;104,105,106,107,108,109"
-    assert next(texts) == "104,105,106,107,108,109;103,102,101,100"
+    monkeypatch.setattr(report_module, "_items", recording_items)
+    texts = report_module._order_texts(rows, ";")
+    assert next(texts) == "100;101;102;103;104;105;106;107;108;109"
+    assert next(texts) == "104;105;106;107;108;109;103;102;101;100"
     assert [run for run, _ in rendered] == [t[:4], t[4:], t[3::-1]]
-    assert next(texts) == "103,102,101,100"
+    assert next(texts) == "103;102;101;100"
     # Only the last row's piece is still held, by the row being built.
     assert [ref() is None for _, ref in rendered] == [True, True, False]
     assert next(texts, None) is None and len(rendered) == 3
