@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 from .model import (
     DEFAULT_BYTES_PER_TRACK,
@@ -85,10 +85,37 @@ class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, and so subparsers, whose usage errors print like
     every other input error: one ``error:`` line, then exit 2. A line break
     in the message (argparse echoes unknown arguments as given) prints as
-    ``\\n``."""
+    ``\\n``. Help goes to stdout through _write, as every other output does."""
 
     def error(self, message: str):
         self.exit(2, "error: " + "\\n".join(message.splitlines()) + "\n")
+
+    def print_help(self, file=None):
+        _write([self.format_help()])
+
+
+_PIECE = 1 << 16  # characters encoded per write to stdout
+
+
+def _write(pieces: Iterable[str]) -> None:
+    """Write ``pieces`` to stdout, encoded at most _PIECE characters at a
+    time into its bytes, and flush it. A pipe whose reader leaves mid-write
+    can take a short count without an error, so the rest is written again,
+    and that write fails as a closed pipe does. A text stdout with no bytes
+    under it (a StringIO) takes the pieces as they are."""
+    out = sys.stdout
+    if out is None:  # fd 1 was closed before the program started
+        raise OSError("not writable")
+    raw = getattr(out, "buffer", None)
+    if raw is None:
+        out.writelines(pieces)
+    else:
+        for piece in pieces:
+            for i in range(0, len(piece), _PIECE):
+                data = piece[i : i + _PIECE].encode(out.encoding, out.errors)
+                while data:
+                    data = data[raw.write(data) :]
+    out.flush()
 
 
 def _geometry_args(parser: argparse.ArgumentParser) -> None:
@@ -208,11 +235,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     model = TransferModel(args.bytes, args.track_bytes, args.rps)
     report = run_comparison(instance, model, _ALGO_TOKENS[args.algo], case_id)
     pieces = emit_pieces(report.rows if args.path else report, args.format, args.paper_table)
-    sys.stdout.writelines(pieces)
+    _write(pieces)
     return 0
-
-
-_PIECE = 1 << 16  # characters of gen's text per write
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -228,35 +252,26 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         with open(args.output, "w", encoding="utf-8") as f:
             f.write(text)
     else:
-        # In bounded pieces, as run writes: unbuffered, one write of the whole
-        # text reaches a raw stream, whose partial write to a pipe that the
-        # reader closed raises nothing, so the exit code would not show it.
-        sys.stdout.writelines(text[i : i + _PIECE] for i in range(0, len(text), _PIECE))
+        _write([text])
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     summary = run_property_campaign(args.trials, seed=args.seed, max_n=args.max_n)
-    print(f"trials={summary.trials} seed={summary.seed} max_n={summary.max_n}")
-    print(f"passes={summary.passes} failures={summary.failures}")
+    lines = [f"trials={summary.trials} seed={summary.seed} max_n={summary.max_n}",
+             f"passes={summary.passes} failures={summary.failures}"]
     if summary.failures:
-        for check, count in sorted(summary.check_failures.items()):
-            print(f"failed check {check}: {count}")
-        print(f"first counterexample: {summary.first_counterexample}")
-        return 1
-    return 0
+        lines += [f"failed check {check}: {count}"
+                  for check, count in sorted(summary.check_failures.items())]
+        lines.append(f"first counterexample: {summary.first_counterexample}")
+    _write(line + "\n" for line in lines)
+    return 1 if summary.failures else 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    # With fd 1 closed at start, Python leaves sys.stdout None. A read-only
-    # stand-in makes a write fail as any failed write does (exit 2).
-    if sys.stdout is None:
-        sys.stdout = open(os.open(os.devnull, os.O_RDONLY), closefd=False)
     try:
-        code = {"run": _cmd_run, "gen": _cmd_gen, "verify": _cmd_verify}[args.command](args)
-        sys.stdout.flush()  # a reader gone before the last write fails here, not at exit
-        return code
+        args = build_parser().parse_args(argv)  # --help writes, too
+        return {"run": _cmd_run, "gen": _cmd_gen, "verify": _cmd_verify}[args.command](args)
     except BrokenPipeError:
         # The reader closed stdout early. Point it at /dev/null, so that the
         # flush at exit does not fail again, and exit as SIGPIPE would (128 + 13).

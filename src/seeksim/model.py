@@ -371,21 +371,6 @@ class Schedule(_Frozen):
     def step_seeks(self) -> tuple[int, ...]:
         return tuple(self._seeks(self.start, self.stops))
 
-    def _dense_legs(self, per_track: int) -> bool:
-        """Whether the legs walk sorted tracks that hold at least
-        ``per_track`` requests per track of their span (see _dense). FIFO's
-        tracks, and those of ``Schedule(...)``, need not be sorted, so no
-        bisection finds their runs."""
-        t = self._tracks if self._sorted else ()
-        return bool(t) and _dense(len(t), t[0], t[-1], per_track)
-
-    def _runs(self, per_track: int) -> Iterator[tuple[Track, int]] | None:
-        """The head path as (track, count) runs of equal tracks, one bisect
-        per run, when ``_dense_legs(per_track)``; None otherwise."""
-        if not self._dense_legs(per_track):
-            return None
-        return chain(((self.start, 1),), *[_leg_runs(*leg) for leg in self._legs])
-
     def head_path(self) -> tuple[Track, ...]:
         """All head positions in order, starting at the initial position."""
         # Built in one pass from the legs; ``stops`` is not kept.

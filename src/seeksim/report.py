@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import chain
 
 from .model import (
     DiskGeometry,
@@ -20,6 +21,7 @@ from .model import (
     Track,
     TransferModel,
     _Frozen,
+    _dense,
     _Leg,
     _leg_runs,
     _leg_tracks,
@@ -172,8 +174,8 @@ def _table_rows(report: ComparisonReport, include_published: bool) -> Iterator[t
 # grows with the queue.
 _SERIES_CHUNK = 4096
 
-# A legs-built row's head path and service order go run by run when its
-# sorted tracks hold at least this many requests per track of their span.
+# A sorted-tracks schedule's head path and service order go run by run when
+# its tracks hold at least this many requests per track of their span.
 # Below it the runs are too short to pay. CPython 3.11.7 on 2 shared vCPUs,
 # template against runs, 10^5 requests:
 # - one ODSA head path: CSV at 4 per track 9.9 against 42 ms, at 32 8.7
@@ -184,6 +186,18 @@ _SERIES_CHUNK = 4096
 #   5.0 against 5.9, at 32 5.1 against 3.1, at 550 4.7 against 0.2; JSON at
 #   16 8.2 against 9.7, at 32 9.7 against 5.0, at 550 7.8 against 0.5.
 _DENSE_PER_TRACK = 32
+
+
+def _runs(s: Schedule, legs: Iterable[_Leg]) -> Iterator[tuple[Track, int]] | None:
+    """``legs`` as (track, count) runs of equal tracks, one bisect per run
+    (_leg_runs), when ``s`` is written run by run: its tracks ascend and
+    hold at least _DENSE_PER_TRACK requests per track of their span. None
+    otherwise. FIFO's tracks, and those of ``Schedule(...)``, need not
+    ascend, so no bisection finds their runs."""
+    t = s._tracks if s._sorted else ()
+    if not (t and _dense(len(t), t[0], t[-1], _DENSE_PER_TRACK)):
+        return None
+    return chain.from_iterable(_leg_runs(*leg) for leg in legs)
 
 
 def _items(values: tuple[int, ...], sep: str) -> str:
@@ -198,51 +212,48 @@ def _order_texts(rows: Sequence[Schedule], sep: str) -> Iterator[str]:
 
     Sorted-order rows share stretches of the sorted tracks: SCAN and LOOK
     walk the same legs, C-SCAN the first of them, ODSA's sweep covers both
-    of C-SCAN's, and SSTF mostly ends in one of them. So every run is cut
-    at each end of any run over the same sequence, and each piece, the
-    index range [a, b) walked up or [b, a) walked down, is rendered once
-    per report. Keys hold the sequences' ids, which stay unique while the
-    rows hold the sequences.
+    of C-SCAN's, and SSTF mostly ends in one of them. So every leg is cut
+    at each end of any leg over the same sequence, into legs again, and
+    each piece is rendered once per report. Keys hold the sequences' ids,
+    which stay unique while the rows hold the sequences.
 
-    A piece of a row's sorted tracks that hold at least _DENSE_PER_TRACK
-    requests per track of their span is rendered run by run,
+    A piece of a row written run by run (see _runs) is rendered as
     ``(str(track) + sep) * count`` per run of equal tracks, in O(distinct
     tracks) steps. Any other piece, unsorted ones (FIFO's or a
     ``Schedule(...)``'s) included, is one ``_items`` call.
     """
     orders = [[leg for leg in row._legs if leg[0] is row._tracks] for row in rows]
-    dense = {id(row._tracks) for row in rows if row._dense_legs(_DENSE_PER_TRACK)}
     ends: dict[int, set[int]] = {}
-    for runs in orders:
-        for seq, i, j in runs:
+    for legs in orders:
+        for seq, i, j in legs:
             ends.setdefault(id(seq), set()).update((min(i, j), max(i, j) + 1))
     cuts = {key: sorted(points) for key, points in ends.items()}
 
-    def pieces(runs: Sequence[_Leg]) -> Iterator[tuple[Sequence[Track], int, int]]:
-        for seq, i, j in runs:
+    def pieces(legs: Sequence[_Leg]) -> Iterator[_Leg]:
+        for seq, i, j in legs:
             points = cuts[id(seq)]
             low, high = bisect_left(points, min(i, j)), bisect_left(points, max(i, j) + 1)
             points = points[low : high + 1]
-            for a, b in zip(points, points[1:]) if i <= j else zip(points[:0:-1], points[-2::-1]):
-                yield seq, a, b
+            ups = [(seq, a, b - 1) for a, b in zip(points, points[1:])]
+            yield from ups if i <= j else [(seq, b, a) for seq, a, b in reversed(ups)]
 
     # A text is dropped at its last use, so no row's text outlives the rows
     # that need it.
-    uses = Counter((id(seq), a, b) for runs in orders for seq, a, b in pieces(runs))
+    uses = Counter((id(seq), i, j) for legs in orders for seq, i, j in pieces(legs))
     texts: dict[tuple, str] = {}
-    for runs in orders:
+    for row, legs in zip(rows, orders):
         parts = []
-        for seq, a, b in pieces(runs):
-            key = id(seq), a, b
+        for leg in pieces(legs):
+            key = id(leg[0]), leg[1], leg[2]
             text = texts.get(key)
             if text is None:
-                leg = (seq, a, b - 1) if a < b else (seq, a - 1, b)
-                if id(seq) in dense:
-                    runs = [(str(t) + sep) * k for t, k in _leg_runs(*leg)]
+                runs = _runs(row, (leg,))
+                if runs is None:
+                    text = _items(tuple(_leg_tracks(*leg)), sep)
+                else:
+                    runs = [(str(t) + sep) * k for t, k in runs]
                     runs[-1] = runs[-1][: -len(sep)]  # cut in the last run, not a copy of all
                     text = "".join(runs)
-                else:
-                    text = _items(tuple(_leg_tracks(*leg)), sep)
                 texts[key] = text
             uses[key] -= 1
             if not uses[key]:
@@ -264,14 +275,11 @@ def _order_texts(rows: Sequence[Schedule], sep: str) -> Iterator[str]:
 # service order go run by run instead (see _path_pieces and _order_texts),
 # and print the same bytes.
 def _csv_cell(text: str) -> str:
-    """``text`` as a cell of csv.writer(lineterminator="\\n"); plain names skip it."""
-    if not any(c in text for c in ',"\r\n'):
-        return text
-    import csv
-    import io
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow((text, ""))
-    return out.getvalue()[:-2]
+    """``text`` as a CSV cell by RFC 4180: quoted, each quote doubled, when
+    it holds a comma, a quote, a CR or an LF; as it is otherwise."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _comparison_csv(report: ComparisonReport, include_published: bool) -> Iterator[str]:
@@ -344,13 +352,13 @@ def _path_pieces(s: Schedule, a: str, line: str) -> Iterator[str]:
     """``s``'s head path in pieces of at most _SERIES_CHUNK points, each
     point as ``a`` + its step + ``line % track``.
 
-    A legs-built path whose tracks hold at least _DENSE_PER_TRACK requests
-    per track of their span (10^5 on [0, 180] hold about 550; sparse queues
-    hold far fewer) is written run by run (Schedule._runs): the lines of one
-    run of equal tracks within one block of steps and one piece are one join.
-    Any other path fills one template per piece with one ``%`` call."""
+    The path of a schedule written run by run (see _runs; 10^5 requests on
+    [0, 180] hold about 550 per track, sparse queues far fewer) goes by its
+    runs, its start a leg of its own: the lines of one run of equal tracks
+    within one block of steps and one piece are one join. Any other path
+    fills one template per piece with one ``%`` call."""
     chunk = _SERIES_CHUNK
-    runs = s._runs(_DENSE_PER_TRACK)
+    runs = _runs(s, (((s.start,), 0, 0), *s._legs))
     if runs is not None:
         parts: list[str] = []
         step, limit = 0, chunk

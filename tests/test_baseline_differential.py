@@ -51,8 +51,9 @@ baseline_main = _load_baseline_main()
 
 def _run(entry, argv):
     """(exit code, stdout) of one in-process CLI call; an uncaught exception
-    is exit 1, as it would be for the interpreter."""
-    out = io.StringIO()
+    is exit 1, as it would be for the interpreter. Stdout is a text stream
+    over bytes, as a process's is."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = entry(list(argv))
@@ -60,7 +61,7 @@ def _run(entry, argv):
             code = exc.code
         except Exception:
             code = 1
-    return code, out.getvalue()
+    return code, out.detach().getvalue().decode()
 
 
 @st.composite

@@ -394,14 +394,70 @@ def test_gen_reader_that_closes_early_gets_exit_141_unbuffered():
         assert proc.stderr.read() == b""
 
 
+@pytest.fixture(scope="module")
+def sparse_input(tmp_path_factory):
+    """30000 requests on [0, 10^6]: a 1.2 MB table whose last row, ODSA's,
+    is about 210 KB, written in one piece."""
+    path = tmp_path_factory.mktemp("sparse") / "sparse.txt"
+    assert main(["gen", "--count", "30000", "--max-track", "1000000", "--seed", "3",
+                 "--head", "500000", "-o", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("command", ["run", "gen"])
+def test_reader_that_stops_inside_the_last_piece_gets_exit_141(command, unbuffered, sparse_input):
+    # The reader reads all but the last 100,000 bytes and closes. A write
+    # that the pipe takes only in part, with no error, must not pass as done.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    args = (["run", "--input", sparse_input, "--max-track", "1000000"] if command == "run"
+            else ["gen", "--count", "500000"])
+    argv = [sys.executable, "-m", "seeksim", *args]
+    left = len(subprocess.run(argv, capture_output=True, env=env, check=True).stdout) - 100_000
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        while left:
+            read = len(proc.stdout.read(min(left, 1 << 16)))
+            assert read
+            left -= read
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+
+
 @pytest.mark.parametrize("argv", [["run", "--case", "1"], ["verify", "--trials", "3"],
-                                  ["gen", "--count", "3"]])
+                                  ["gen", "--count", "3"], ["--help"], ["run", "--help"],
+                                  ["gen", "--help"]])
 def test_closed_stdout_exits_2_with_one_error_line(argv):
     # The shell closes fd 1 before Python starts, so sys.stdout starts as None.
     script = 'exec "$0" -m seeksim "$@" >&-'
     proc = subprocess.run(["/bin/sh", "-c", script, sys.executable, *argv],
                           capture_output=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (2, b"error: not writable\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["gen", "--help"]])
+def test_help_to_a_full_stdout_exits_2_with_one_error_line(argv):
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "seeksim", *argv], stdout=full,
+                              stderr=subprocess.PIPE, timeout=60)
+    assert proc.returncode == 2
+    assert re.fullmatch(rb"error: \[Errno 28\] [^\n]*\n", proc.stderr), proc.stderr
+
+
+@pytest.mark.parametrize("argv, usage", [(["--help"], "usage: seeksim [-h]"),
+                                         (["run", "--help"], "usage: seeksim run [-h]"),
+                                         (["gen", "--help"], "usage: seeksim gen [-h]")])
+def test_help_to_a_pipe_exits_0(argv, usage, capsys):
+    proc = subprocess.run([sys.executable, "-m", "seeksim", *argv], capture_output=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 0 and err == ""
+    assert proc.stdout == out.encode() and out.startswith(usage)
 
 
 def test_gen_to_a_file_with_stdout_closed_exits_0(tmp_path, capsys):
@@ -413,21 +469,32 @@ def test_gen_to_a_file_with_stdout_closed_exits_0(tmp_path, capsys):
     assert run_cli(capsys, "gen", "--count", "3", "--seed", "5") == (0, path.read_text(), "")
 
 
-class _Pieces(io.StringIO):
-    """A stdout that keeps every piece written to it."""
+class _Pieces(io.BytesIO):
+    """The bytes under a stdout, keeping the text of every piece written.
+    A write takes at most ``most`` bytes and returns how many it took."""
 
-    def __init__(self):
+    def __init__(self, most=None):
         super().__init__()
-        self.pieces = []
+        self.pieces, self.most = [], most
 
-    def write(self, text):
-        self.pieces.append(text)
-        return super().write(text)
+    def write(self, data):
+        data = bytes(data)[: self.most]
+        self.pieces.append(data.decode())
+        return super().write(data)
+
+
+@contextlib.contextmanager
+def _stdout_over(raw):
+    """sys.stdout as a UTF-8 text stream over the bytes ``raw``."""
+    out = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+    with contextlib.redirect_stdout(out):
+        yield
+    out.detach()  # flushes, and leaves ``raw`` open to read
 
 
 def test_gen_writes_its_text_in_bounded_pieces(capsys):
     out = _Pieces()
-    with contextlib.redirect_stdout(out):
+    with _stdout_over(out):
         assert main(["gen", "--count", "30000", "--seed", "4", "--head", "7"]) == 0
     assert len(out.pieces) > 1 and max(map(len, out.pieces)) <= 1 << 16
     with tempfile.TemporaryDirectory() as tmp:
@@ -435,6 +502,16 @@ def test_gen_writes_its_text_in_bounded_pieces(capsys):
         assert main(["gen", "--count", "30000", "--seed", "4", "--head", "7", "-o", file]) == 0
         with open(file) as f:
             assert "".join(out.pieces) == f.read()
+
+
+def test_short_writes_are_written_again(capsys):
+    # A pipe whose reader goes can take part of a write without an error;
+    # while the reader stays, the rest must follow.
+    out = _Pieces(most=1000)
+    with _stdout_over(out):
+        assert main(["gen", "--count", "3000", "--seed", "4"]) == 0
+    assert len(out.pieces) > 10 and max(map(len, out.pieces)) == 1000
+    assert run_cli(capsys, "gen", "--count", "3000", "--seed", "4") == (0, "".join(out.pieces), "")
 
 
 @settings(max_examples=100, deadline=None)
@@ -458,7 +535,7 @@ def test_streamed_pieces_join_to_emit(queue, head, algo, fmt, path, chunk):
     out = _Pieces()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(report, "_SERIES_CHUNK", chunk)
-        with contextlib.redirect_stdout(out):
+        with _stdout_over(out):
             assert main(argv) == 0
     instance = validate_instance(queue, head, DiskGeometry(0, 60))
     table = run_comparison(instance, algorithms=_ALGO_TOKENS[algo])

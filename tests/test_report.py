@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+import sys
 import weakref
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from seeksim import report as report_module
@@ -307,9 +309,12 @@ EVERY_ALGORITHM = ALGORITHM_ORDER + (ORACLE_NAME,)
 
 
 def _csv_writer_text(rows):
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue()
+    """``rows`` as csv.writer(lineterminator="\\r\\n") writes them, each row
+    then ended by "\\n". Under that terminator every Python from 3.10 quotes
+    a CR; under "\\n", 3.10 to 3.12 leave a lone CR bare."""
+    lines = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def _reference_table_csv(report, include_published):
@@ -581,17 +586,26 @@ def test_series_csv_matches_csv_writer_on_any_path(series):
 
 
 def _record_runs(mp, taken):
-    """Patch Schedule._runs to append to ``taken`` the algorithm of each
+    """Patch report._runs to append to ``taken`` the algorithm of each
     schedule whose head path goes run by run."""
-    runs = Schedule._runs
+    runs = report_module._runs
 
-    def recorded(s, per_track):
-        result = runs(s, per_track)
+    def recorded(s, legs):
+        result = runs(s, legs)
         if result is not None:
             taken.append(s.algorithm)
         return result
 
-    mp.setattr(Schedule, "_runs", recorded)
+    mp.setattr(report_module, "_runs", recorded)
+
+
+def _path_runs(s, per_track):
+    """report._runs over ``s``'s head path, its start a leg of its own, with
+    ``per_track`` as the run-by-run threshold."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report_module, "_DENSE_PER_TRACK", per_track)
+        runs = report_module._runs(s, (((s.start,), 0, 0), *s._legs))
+        return None if runs is None else list(runs)
 
 
 def test_dense_paths_written_run_by_run_match_their_stops_built_twins():
@@ -641,9 +655,9 @@ def test_runs_are_the_longest_runs_of_equal_tracks_in_the_head_path():
     # SCAN sweeps up 7, 7, 7 to the idle end 20, then down 5, 5, 3.
     inst = validate_instance((5, 5, 7, 7, 7, 3), 6, DiskGeometry(0, 20))
     scan = run_schedule("SCAN", inst)
-    assert list(scan._runs(0)) == [(6, 1), (7, 3), (20, 1), (5, 2), (3, 1)]
-    assert scan._runs(2) is None  # 6 requests on the 5 tracks 3 to 7
-    assert Schedule(scan.algorithm, scan.start, scan.stops, scan.idle)._runs(0) is None
+    assert _path_runs(scan, 0) == [(6, 1), (7, 3), (20, 1), (5, 2), (3, 1)]
+    assert _path_runs(scan, 2) is None  # 6 requests on the 5 tracks 3 to 7
+    assert _path_runs(Schedule(scan.algorithm, scan.start, scan.stops, scan.idle), 0) is None
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -653,7 +667,7 @@ def test_bool_tracks_print_as_the_ints_they_equal(fmt):
                                (_mixed_series, (1,) * 96, 2)):
         ints = validate_instance(queue, 1, DiskGeometry(0, top))
         assert emit(series, fmt) == emit(head_path_series(ints, EVERY_ALGORITHM), fmt)
-        assert all(s._runs(32) is not None for s in series if s.algorithm != "FIFO")
+        assert all(_path_runs(s, 32) is not None for s in series if s.algorithm != "FIFO")
     assert "true" not in emit(_bool_series, "json")
 
 
@@ -694,6 +708,8 @@ _csv_names = st.one_of(st.text(max_size=8), st.text(alphabet=',"\r\n%s a', max_s
 @example(['say "hi"', "x\ny", "\r", "", "LOOK", "%s,"], True)
 @example(['a,"b"\r\n'], False)  # every character csv.writer quotes, in one name
 def test_csv_quotes_any_algorithm_name_like_csv_writer(names, include_published):
+    # csv.writer refuses a NUL on 3.10; the pinned cells below cover it.
+    assume(sys.version_info >= (3, 11) or not any("\0" in name for name in names))
     base = case_report(1, EVERY_ALGORITHM)
     rows = tuple(Schedule(name, r.start, r.stops, r.idle) for name, r in zip(names, base.rows))
     report = ComparisonReport(base.instance, base.model, rows, 1)
@@ -704,13 +720,35 @@ def test_csv_quotes_any_algorithm_name_like_csv_writer(names, include_published)
     assert emit(series) == _reference_series_csv(series)
 
 
+@pytest.mark.parametrize("name, cell", [
+    ("a\rb", '"a\rb"'),
+    ("a\r\nb", '"a\r\nb"'),
+    ('say "hi"', '"say ""hi"""'),
+    ("a,b", '"a,b"'),
+    ("a\0,b", '"a\0,b"'),
+    ("a\0b", "a\0b"),
+    ("", ""),
+])
+def test_csv_cells_are_the_same_bytes_on_every_python(name, cell):
+    # RFC 4180: a cell that holds a comma, a quote, a CR or an LF is quoted,
+    # each quote doubled; any other goes as it is.
+    base = case_report(1, ["ODSA"])
+    odsa = base.rows[0]
+    report = ComparisonReport(
+        base.instance, base.model, (Schedule(name, odsa.start, odsa.stops, odsa.idle),), 1
+    )
+    assert emit(report).encode() == emit(base).replace("\nODSA,", f"\n{cell},").encode()
+    series = [Schedule(name, 45, (10,))]
+    assert emit(series).encode() == f"algorithm,step,track\n{cell},0,45\n{cell},1,10\n".encode()
+
+
 class _Text(str):
     """A rendered text that a weak reference can follow."""
 
 
 def test_order_texts_render_each_piece_once_and_keep_none_past_its_last_use(monkeypatch):
     t = tuple(range(100, 110))
-    # Runs cut at 0, 4 and 10: up [0, 4), up [4, 10) and down [4, 0).
+    # Legs cut at 0, 4 and 10 into the legs (t, 0, 3), (t, 4, 9) and (t, 3, 0).
     legs = [((t, 0, 9),), ((t, 4, 9), (t, 3, 0)), ((t, 3, 0),)]
     rows = [Schedule._of_legs("X", 100, t, row) for row in legs]
     rendered = []
